@@ -1,8 +1,8 @@
 """Multi-user wideband channel built on the LWA physics.
 
 The entry for subband n and user k is the diffraction gain at the user's
-angle times a pluggable path-loss coefficient at the user's range. Rates use
-base-2 logs (bits per channel use).
+angle times a path-loss coefficient at the user's range. Rates use base-2
+logs (bits per channel use).
 """
 
 from __future__ import annotations
@@ -70,19 +70,8 @@ class UserSet:
         return int(self.angles_rad.size)
 
 
-class PathLossProfile:
-    """Attenuation coefficient Gamma(range, frequency) > 0."""
-
-    name = "base"
-
-    def evaluate(self, range_m, frequency_hz):
-        raise NotImplementedError
-
-
-class InverseRangeLoss(PathLossProfile):
-    """Default frequency-independent profile Gamma = rho_ref / rho."""
-
-    name = "inverse-range"
+class InverseRangeLoss:
+    """Frequency-independent attenuation coefficient Gamma = rho_ref / rho."""
 
     def __init__(self, reference_range_m: float = 1.0):
         if reference_range_m <= 0:
@@ -118,10 +107,6 @@ class ChannelMatrix:
     """
 
     entries: np.ndarray
-    config: LwaConfig
-    grid: FrequencyGrid
-    users: UserSet
-    loss: PathLossProfile
     subcutoff_subbands: tuple = ()
 
     @property
@@ -130,27 +115,54 @@ class ChannelMatrix:
         return np.sum(np.abs(self.entries) ** 2, axis=1)
 
 
+def _entries(config: LwaConfig, freqs: np.ndarray, angles: np.ndarray, gamma: np.ndarray):
+    """N x K entries G(phi_k, f_n) * gamma[n, k], zero below the cutoff, and
+    the mask of the subbands at or above it."""
+    valid = freqs >= config.cutoff_frequency
+    entries = np.zeros((freqs.size, angles.size), dtype=complex)
+    if np.any(valid):
+        entries[valid] = diffraction_gain_grid(config, angles, freqs[valid]) * gamma[valid]
+    return entries, valid
+
+
 def build_channel(
     config: LwaConfig,
     grid: FrequencyGrid,
     users: UserSet,
-    loss: PathLossProfile,
+    loss: InverseRangeLoss,
 ) -> ChannelMatrix:
     """Assemble the N x K channel: entry (n,k) = G(phi_k, f_n) * Gamma(rho_k, f_n).
 
     Sub-cutoff subbands get zero gain and are reported in subcutoff_subbands.
     """
     freqs = grid.frequencies
-    valid = freqs >= config.cutoff_frequency
-    entries = np.zeros((freqs.size, users.num_users), dtype=complex)
-    if np.any(valid):
-        gains = diffraction_gain_grid(config, users.angles_rad, freqs[valid])
-        gamma = loss.evaluate(
-            users.ranges_m[None, :], freqs[valid][:, None]
-        )
-        entries[valid] = gains * gamma
-    subcutoff = tuple(int(n) for n in np.nonzero(~valid)[0])
-    return ChannelMatrix(entries, config, grid, users, loss, subcutoff)
+    gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
+    entries, valid = _entries(config, freqs, users.angles_rad, gamma)
+    return ChannelMatrix(entries, tuple(int(n) for n in np.nonzero(~valid)[0]))
+
+
+def geometry_gains_squared(
+    b_grid: np.ndarray,
+    L_grid: np.ndarray,
+    grid: FrequencyGrid,
+    users: UserSet,
+    loss: InverseRangeLoss,
+) -> np.ndarray:
+    """||h_n||^2 for every geometry of the b x L search grid, shape (B, L, N).
+
+    Entry [i, j] equals build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
+    users, loss).gains_squared bitwise, so subbands below that geometry's
+    cutoff are zero. The norms do not depend on the powers: one array per
+    user draw serves every step of the alternating optimization.
+    """
+    freqs = grid.frequencies
+    gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
+    gains2 = np.empty((len(b_grid), len(L_grid), freqs.size))
+    for i, b in enumerate(b_grid):
+        for j, L in enumerate(L_grid):
+            entries, _ = _entries(LwaConfig(b, L), freqs, users.angles_rad, gamma)
+            gains2[i, j] = np.sum(np.abs(entries) ** 2, axis=1)
+    return gains2
 
 
 def subband_rate(h_n: np.ndarray, power: float, noise: NoiseModel) -> float:
@@ -177,7 +189,7 @@ def beampattern(
     config: LwaConfig,
     grid: FrequencyGrid,
     powers,
-    loss: PathLossProfile,
+    loss: InverseRangeLoss,
     angle_grid: np.ndarray,
     range_grid: np.ndarray,
     floor: float = BEAMPATTERN_FLOOR,
@@ -203,8 +215,7 @@ def beampattern(
     gains2 = np.abs(diffraction_gain_grid(config, angle_grid, freqs[valid])) ** 2
     gamma2 = loss.evaluate(range_grid[None, :], freqs[valid][:, None]) ** 2
     energy = np.einsum("n,na,nr->ar", powers[valid], gains2, gamma2)
-    with np.errstate(divide="ignore"):
-        return np.where(energy > 0.0, np.log10(energy, where=energy > 0.0), floor)
+    return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)
 
 
 def export_beampattern_csv(

@@ -25,6 +25,7 @@ from .channel import (
     beampattern,
     build_channel,
     export_beampattern_csv,
+    geometry_gains_squared,
 )
 from .mimo import UlaGeometry, build_mimo_channel, mimo_sum_rate, normalize_to_lwa
 from .optimizer import (
@@ -32,7 +33,7 @@ from .optimizer import (
     SearchGrids,
     alternate_optimize,
 )
-from .physics import LwaBounds, LwaConfig
+from .physics import LwaConfig
 
 
 class ConfigError(ValueError):
@@ -94,12 +95,10 @@ class ScenarioConfig:
             self.f_low_hz, self.f_high_hz, self.num_subbands
         )
 
-    def lwa_bounds(self) -> LwaBounds:
-        return LwaBounds(self.b_min_m, self.b_max_m, self.slit_min_m, self.slit_max_m)
-
     def search_grids(self) -> SearchGrids:
-        return SearchGrids.from_bounds(
-            self.lwa_bounds(), self.b_grid_points, self.slit_grid_points
+        return SearchGrids(
+            np.linspace(self.b_min_m, self.b_max_m, self.b_grid_points),
+            np.linspace(self.slit_min_m, self.slit_max_m, self.slit_grid_points),
         )
 
     def noise(self) -> NoiseModel:
@@ -153,11 +152,14 @@ def optimize_scenario(
     config: ScenarioConfig, users: UserSet, budget: float | None = None
 ) -> AllocationResult:
     """Run the alternating optimization for one user draw."""
-    scenario = (config.frequency_grid(), users, InverseRangeLoss())
+    grids = config.search_grids()
+    gains = geometry_gains_squared(
+        grids.b_grid, grids.L_grid, config.frequency_grid(), users, InverseRangeLoss()
+    )
     return alternate_optimize(
-        config.search_grids(),
+        grids,
+        gains,
         config.power_budget if budget is None else budget,
-        scenario,
         config.noise(),
         i_max=config.max_iterations,
     )

@@ -4,16 +4,20 @@ Alternates an exhaustive grid search over the antenna geometry (b, L) with
 waterfilling of the spectral power budget, until a fixed point or the
 iteration cap. The waterfilling step is globally optimal for a fixed
 geometry, so the trace rate is non-decreasing.
+
+Both steps read one (B, L, N) array of squared channel norms ||h_n||^2 over
+the geometry grid (channel.geometry_gains_squared), built once per user
+draw; the optimizer never builds a channel itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, average_sum_rate, build_channel
-from .physics import LwaBounds, LwaConfig
+from .channel import NoiseModel
 
 WATERFILL_MAX_ITER = 200
 WATERFILL_RESIDUAL_RTOL = 1e-12
@@ -60,15 +64,6 @@ class SearchGrids:
         if b.size == 0 or L.size == 0:
             raise ValueError("grids must be non-empty")
 
-    @classmethod
-    def from_bounds(
-        cls, bounds: LwaBounds, b_points: int = 21, L_points: int = 21
-    ) -> "SearchGrids":
-        return cls(
-            np.linspace(bounds.b_min, bounds.b_max, b_points),
-            np.linspace(bounds.L_min, bounds.L_max, L_points),
-        )
-
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -80,13 +75,18 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class AllocationResult:
-    """Outcome of the alternating optimization."""
+    """Outcome of the alternating optimization.
+
+    stop_reason is "fixed_point" when geometry and powers reproduced
+    themselves, "i_max" when the iteration cap ended the loop.
+    """
 
     chosen_b: float
     chosen_L: float
     powers: PowerAllocation
     sum_rate: float
     trace: tuple
+    stop_reason: str
 
     def trace_csv(self) -> str:
         lines = ["iter,b_m,L_m,rate_bits"]
@@ -105,6 +105,7 @@ class AllocationResult:
             f"total_budget: {self.powers.total_budget_P:.9g}\n"
             f"powers: {power_str}\n"
             f"iterations: {len(self.trace)}\n"
+            f"stop_reason: {self.stop_reason}\n"
         )
 
 
@@ -151,61 +152,56 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
 def grid_search_geometry(
     grids: SearchGrids,
     fixed_powers: PowerAllocation,
-    scenario: tuple,
+    gains: np.ndarray,
     noise: NoiseModel,
 ):
     """Exhaustive argmax of the average sum-rate over the (b, L) grid.
 
-    Ties break to the smallest b, then smallest L, so the result is
-    deterministic regardless of evaluation order.
+    gains[i, j] holds ||h_n||^2 of geometry (grids.b_grid[i],
+    grids.L_grid[j]). Returns the indices (i, j) of the best geometry and
+    its rate. Ties break to the smallest b, then smallest L (the first
+    maximum in b-major order), so the result is deterministic.
     """
-    grid, users, loss = scenario
-    best = None
-    for b in grids.b_grid:
-        for L in grids.L_grid:
-            channel = build_channel(LwaConfig(b, L), grid, users, loss)
-            rate = average_sum_rate(channel, fixed_powers.powers, noise)
-            if best is None or rate > best[2]:
-                best = (float(b), float(L), rate)
-    return best
+    if gains.shape[:2] != (grids.b_grid.size, grids.L_grid.size):
+        raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
+    rates = np.log2(1.0 + fixed_powers.powers / noise.variance_sigma2 * gains).sum(axis=-1)
+    i, j = np.unravel_index(np.argmax(rates), rates.shape)
+    return int(i), int(j), float(rates[i, j] / gains.shape[-1])
 
 
 def alternate_optimize(
     grids: SearchGrids,
+    gains: np.ndarray,
     budget_P: float,
-    scenario: tuple,
     noise: NoiseModel,
     i_max: int = 10,
-    early_exit: bool = True,
 ) -> AllocationResult:
     """Alternating optimization: geometry grid search, then waterfilling.
 
-    Starts from the uniform allocation P/N. With early_exit, stops as soon
-    as geometry and powers reproduce themselves between iterations.
+    gains is the (B, L, N) array of squared channel norms over `grids`.
+    Starts from the uniform allocation P/N and stops as soon as geometry
+    and powers reproduce themselves between iterations, or after i_max
+    iterations.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
-    grid, users, loss = scenario
-    n = grid.num_subbands
+    n = gains.shape[-1]
     alloc = PowerAllocation.uniform(n, budget_P)
 
     trace = []
     prev = None
-    b = L = None
-    for i in range(1, i_max + 1):
-        b, L, _ = grid_search_geometry(grids, alloc, scenario, noise)
-        channel = build_channel(LwaConfig(b, L), grid, users, loss)
-        alloc = waterfill(channel.gains_squared, budget_P, noise)
-        rate = average_sum_rate(channel, alloc.powers, noise)
-        trace.append(TraceRecord(i, b, L, rate))
-        if (
-            early_exit
-            and prev is not None
-            and prev[0] == b
-            and prev[1] == L
-            and np.array_equal(prev[2], alloc.powers)
-        ):
+    stop_reason = "i_max"
+    for it in range(1, i_max + 1):
+        i, j, _ = grid_search_geometry(grids, alloc, gains, noise)
+        alloc = waterfill(gains[i, j], budget_P, noise)
+        rates = np.log2(1.0 + alloc.powers / noise.variance_sigma2 * gains[i, j])
+        trace.append(
+            TraceRecord(it, float(grids.b_grid[i]), float(grids.L_grid[j]), math.fsum(rates) / n)
+        )
+        if prev is not None and prev[:2] == (i, j) and np.array_equal(prev[2], alloc.powers):
+            stop_reason = "fixed_point"
             break
-        prev = (b, L, alloc.powers)
+        prev = (i, j, alloc.powers)
 
-    return AllocationResult(b, L, alloc, trace[-1].rate_bits, tuple(trace))
+    last = trace[-1]
+    return AllocationResult(last.b_m, last.L_m, alloc, last.rate_bits, tuple(trace), stop_reason)

@@ -55,22 +55,6 @@ class LwaConfig:
         return SPEED_OF_LIGHT / (2.0 * self.plate_separation_b)
 
 
-@dataclass(frozen=True)
-class LwaBounds:
-    """Physical tuning ranges for the geometry, in meters."""
-
-    b_min: float
-    b_max: float
-    L_min: float
-    L_max: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.b_min <= self.b_max):
-            raise ValueError("need 0 < b_min <= b_max")
-        if not (0 < self.L_min <= self.L_max):
-            raise ValueError("need 0 < L_min <= L_max")
-
-
 def emission_angle(config: LwaConfig, frequency: float) -> float:
     """Azimuth angle (rad) at which `frequency` is radiated: arcsin(c/(2bf)).
 

@@ -135,6 +135,7 @@ def test_criterion_5_small_instance_global_optimality():
         assert abs(result.sum_rate - replay.sum_rate) <= 1e-9, seed
         assert [(r.b_m, r.L_m) for r in result.trace] == list(replay.trace), seed
         assert replay.fixed_point, f"seed {seed} hit the iteration cap"
+        assert result.stop_reason == ("fixed_point" if replay.fixed_point else "i_max"), seed
 
         channels = {
             (b, L): build_channel(LwaConfig(b, L), grid, users, LOSS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lwacomm.channel import (
+    ChannelMatrix,
     FrequencyGrid,
     InverseRangeLoss,
     NoiseModel,
@@ -13,6 +14,7 @@ from lwacomm.channel import (
     build_channel,
     export_beampattern_csv,
     frequency_bins_near_angle,
+    geometry_gains_squared,
     subband_rate,
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, emission_angle
@@ -70,6 +72,23 @@ class TestBuildChannel:
         assert np.all(channel.entries[:2] == 0)
         assert channel.entries[2, 0] != 0
 
+    @pytest.mark.parametrize("num_users", [1, 4])
+    def test_geometry_gains_squared_matches_per_point_channels(self, num_users):
+        # b from 0.3 mm (cutoff ~500 GHz, above the whole band) to 1.5 mm
+        # (~100 GHz, below it): every degree of sub-cutoff masking occurs
+        grid = FrequencyGrid.subband_centers(120e9, 480e9, 12)
+        rng = np.random.default_rng(num_users)
+        users = UserSet(rng.uniform(0.2, 1.5, num_users), rng.uniform(5.0, 20.0, num_users))
+        b_grid = np.linspace(0.3e-3, 1.5e-3, 7)
+        L_grid = np.linspace(10e-3, 50e-3, 3)
+        gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+        assert gains2.shape == (7, 3, 12)
+        for i, b in enumerate(b_grid):
+            for j, L in enumerate(L_grid):
+                channel = build_channel(LwaConfig(b, L), grid, users, LOSS)
+                assert np.array_equal(gains2[i, j], channel.gains_squared), (b, L)
+        assert np.all(gains2[0] == 0.0) and np.all(gains2[-1] > 0.0)
+
     def test_gains_squared_matches_entries(self):
         grid = FrequencyGrid.subband_centers(200e9, 800e9, 5)
         users = UserSet(np.array([0.3, 0.8]), np.array([10.0, 15.0]))
@@ -95,11 +114,7 @@ class TestRates:
 
     def _channel(self, gains):
         # synthetic channel with prescribed per-subband ||h_n||^2
-        grid = FrequencyGrid.subband_centers(200e9, 800e9, len(gains))
-        users = UserSet(np.array([0.5]), np.array([1.0]))
-        ch = build_channel(LwaConfig(1e-3, 10e-3), grid, users, LOSS)
-        entries = np.sqrt(np.asarray(gains, dtype=float))[:, None].astype(complex)
-        return type(ch)(entries, ch.config, ch.grid, ch.users, ch.loss)
+        return ChannelMatrix(np.sqrt(np.asarray(gains, dtype=float))[:, None].astype(complex))
 
     def test_mean_of_equal_subbands(self):
         channel = self._channel([1.0] * 6)

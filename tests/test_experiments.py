@@ -106,6 +106,7 @@ class TestConfig:
             {"power_budget": 0.0},
             {"trials": 0},
             {"b_min_m": 2e-3, "b_max_m": 1e-3},
+            {"slit_min_m": 5e-2, "slit_max_m": 1e-2},
         ],
     )
     def test_invariants(self, kwargs):

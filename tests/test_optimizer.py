@@ -10,6 +10,7 @@ from lwacomm.channel import (
     UserSet,
     average_sum_rate,
     build_channel,
+    geometry_gains_squared,
 )
 from lwacomm.optimizer import (
     AllGainsZero,
@@ -19,7 +20,7 @@ from lwacomm.optimizer import (
     grid_search_geometry,
     waterfill,
 )
-from lwacomm.physics import LwaBounds, LwaConfig, SPEED_OF_LIGHT
+from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
 from oracles import simplex_grid_best_rate
 
@@ -84,23 +85,36 @@ class TestWaterfill:
             assert got <= best_grid + 1e-3  # grid is only O(step^2) away
 
 
-def make_scenario(n_sub=4, users=None):
+def make_draw(n_sub=4, users=None):
     grid = FrequencyGrid.subband_centers(200e9, 800e9, n_sub)
     if users is None:
         users = UserSet(np.array([0.35, 0.8]), np.array([10.0, 15.0]))
-    return (grid, users, LOSS)
+    return grid, users
+
+
+def gains_for(grids, grid, users, loss=LOSS):
+    return geometry_gains_squared(grids.b_grid, grids.L_grid, grid, users, loss)
+
+
+def default_gains(grids, n_sub=4):
+    return gains_for(grids, *make_draw(n_sub))
+
+
+def bounded_grids(b_points, L_points):
+    # b in [0.9, 1.1] mm, L in [10, 50] mm
+    return SearchGrids(
+        np.linspace(0.9e-3, 1.1e-3, b_points), np.linspace(10e-3, 50e-3, L_points)
+    )
 
 
 class TestGridSearch:
-    BOUNDS = LwaBounds(0.9e-3, 1.1e-3, 10e-3, 50e-3)
-
     def test_single_element_grid(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
-        scenario = make_scenario()
+        grid, users = make_draw()
         powers = PowerAllocation.uniform(4, 10.0)
-        b, L, rate = grid_search_geometry(grids, powers, scenario, NOISE)
-        assert (b, L) == (1e-3, 20e-3)
-        channel = build_channel(LwaConfig(b, L), scenario[0], scenario[1], LOSS)
+        i, j, rate = grid_search_geometry(grids, powers, gains_for(grids, grid, users), NOISE)
+        assert (i, j) == (0, 0)
+        channel = build_channel(LwaConfig(1e-3, 20e-3), grid, users, LOSS)
         assert rate == pytest.approx(average_sum_rate(channel, powers.powers, NOISE))
 
     def test_peak_geometry_wins(self):
@@ -108,10 +122,9 @@ class TestGridSearch:
         grid = FrequencyGrid.subband_centers(200e9, 800e9, 4)
         angle = math.asin(SPEED_OF_LIGHT / (2 * 1e-3 * grid.frequencies[0]))
         users = UserSet(np.array([angle]), np.array([10.0]))
-        scenario = (grid, users, LOSS)
-        grids = SearchGrids.from_bounds(self.BOUNDS, 5, 5)
+        grids = bounded_grids(5, 5)
         powers = PowerAllocation.uniform(4, 10.0)
-        b, L, rate = grid_search_geometry(grids, powers, scenario, NOISE)
+        i, j, rate = grid_search_geometry(grids, powers, gains_for(grids, grid, users), NOISE)
         # independent exhaustive re-evaluation
         rates = {}
         for bb in grids.b_grid:
@@ -119,36 +132,40 @@ class TestGridSearch:
                 ch = build_channel(LwaConfig(bb, LL), grid, users, LOSS)
                 rates[(bb, LL)] = average_sum_rate(ch, powers.powers, NOISE)
         assert rate == pytest.approx(max(rates.values()))
-        assert rates[(b, L)] == pytest.approx(rate)
+        assert rates[(grids.b_grid[i], grids.L_grid[j])] == pytest.approx(rate)
 
     def test_all_zero_tie_breaks_to_first_pair(self):
         # band entirely below cutoff for every candidate b: all gains zero
         grid = FrequencyGrid.subband_centers(50e9, 100e9, 3)
         users = UserSet(np.array([0.5]), np.array([10.0]))
-        grids = SearchGrids.from_bounds(self.BOUNDS, 3, 3)
+        grids = bounded_grids(3, 3)
         powers = PowerAllocation.uniform(3, 10.0)
-        b, L, rate = grid_search_geometry(grids, powers, (grid, users, LOSS), NOISE)
-        assert b == grids.b_grid[0] and L == grids.L_grid[0]
+        i, j, rate = grid_search_geometry(grids, powers, gains_for(grids, grid, users), NOISE)
+        assert (i, j) == (0, 0)
         assert rate == 0.0
 
     def test_argmax_invariant_under_common_gain_scaling(self):
-        scenario = make_scenario(n_sub=6)
-        grids = SearchGrids.from_bounds(self.BOUNDS, 4, 4)
+        grid, users = make_draw(n_sub=6)
+        grids = bounded_grids(4, 4)
         powers = PowerAllocation.uniform(6, 10.0)
-        b1, L1, _ = grid_search_geometry(grids, powers, scenario, NOISE)
-        scaled = (scenario[0], scenario[1], InverseRangeLoss(2.5))
-        b2, L2, _ = grid_search_geometry(grids, powers, scaled, NOISE)
-        assert (b1, L1) == (b2, L2)
+        i1, j1, _ = grid_search_geometry(grids, powers, gains_for(grids, grid, users), NOISE)
+        scaled = gains_for(grids, grid, users, InverseRangeLoss(2.5))
+        i2, j2, _ = grid_search_geometry(grids, powers, scaled, NOISE)
+        assert (i1, j1) == (i2, j2)
+
+    def test_gains_must_match_grids(self):
+        grids = bounded_grids(3, 2)
+        gains = default_gains(bounded_grids(2, 3))
+        with pytest.raises(ValueError):
+            grid_search_geometry(grids, PowerAllocation.uniform(4, 10.0), gains, NOISE)
 
 
 class TestAlternateOptimize:
-    BOUNDS = LwaBounds(0.9e-3, 1.1e-3, 10e-3, 50e-3)
-
     def test_single_geometry_equals_waterfill(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
-        scenario = make_scenario()
-        result = alternate_optimize(grids, 10.0, scenario, NOISE, i_max=1)
-        channel = build_channel(LwaConfig(1e-3, 20e-3), scenario[0], scenario[1], LOSS)
+        grid, users = make_draw()
+        result = alternate_optimize(grids, gains_for(grids, grid, users), 10.0, NOISE, i_max=1)
+        channel = build_channel(LwaConfig(1e-3, 20e-3), grid, users, LOSS)
         want = waterfill(channel.gains_squared, 10.0, NOISE)
         np.testing.assert_allclose(result.powers.powers, want.powers, rtol=1e-12)
         assert result.sum_rate == pytest.approx(
@@ -157,39 +174,39 @@ class TestAlternateOptimize:
 
     def test_trace_non_decreasing(self):
         rng = np.random.default_rng(23)
-        grids = SearchGrids.from_bounds(self.BOUNDS, 6, 6)
+        grids = bounded_grids(6, 6)
         for _ in range(10):
             users = UserSet(
                 rng.uniform(math.radians(10), math.radians(55), 3),
                 rng.uniform(10.0, 20.0, 3),
             )
-            scenario = make_scenario(8, users)
-            result = alternate_optimize(grids, 10.0, scenario, NOISE)
+            gains = gains_for(grids, *make_draw(8, users))
+            result = alternate_optimize(grids, gains, 10.0, NOISE)
             rates = [rec.rate_bits for rec in result.trace]
             assert all(r2 >= r1 - 1e-12 for r1, r2 in zip(rates, rates[1:]))
 
     @staticmethod
-    def brute_force_best(grids, scenario, budget):
+    def brute_force_best(grids, grid, users, budget):
         # exact waterfilling per candidate geometry, independent of the loop
         best = -1.0
         for b in grids.b_grid:
             for L in grids.L_grid:
-                ch = build_channel(LwaConfig(b, L), scenario[0], scenario[1], LOSS)
+                ch = build_channel(LwaConfig(b, L), grid, users, LOSS)
                 alloc = waterfill(ch.gains_squared, budget, NOISE)
                 best = max(best, average_sum_rate(ch, alloc.powers, NOISE))
         return best
 
     def test_never_exceeds_brute_force(self):
         rng = np.random.default_rng(41)
-        grids = SearchGrids.from_bounds(self.BOUNDS, 2, 2)
+        grids = bounded_grids(2, 2)
         for _ in range(5):
             users = UserSet(
                 rng.uniform(math.radians(10), math.radians(55), 2),
                 rng.uniform(10.0, 20.0, 2),
             )
-            scenario = make_scenario(4, users)
-            result = alternate_optimize(grids, 10.0, scenario, NOISE)
-            best = self.brute_force_best(grids, scenario, 10.0)
+            grid, users = make_draw(4, users)
+            result = alternate_optimize(grids, gains_for(grids, grid, users), 10.0, NOISE)
+            best = self.brute_force_best(grids, grid, users, 10.0)
             assert result.sum_rate <= best + 1e-12
 
     def test_small_grid_matches_brute_force_instance(self):
@@ -200,41 +217,40 @@ class TestAlternateOptimize:
             np.array([0.923921449069441, 0.7776653787985954]),
             np.array([11.25970746788202, 18.26988085930745]),
         )
-        grids = SearchGrids.from_bounds(self.BOUNDS, 2, 2)
-        scenario = make_scenario(4, users)
-        result = alternate_optimize(grids, 10.0, scenario, NOISE)
-        best = self.brute_force_best(grids, scenario, 10.0)
+        grids = bounded_grids(2, 2)
+        grid, users = make_draw(4, users)
+        result = alternate_optimize(grids, gains_for(grids, grid, users), 10.0, NOISE)
+        best = self.brute_force_best(grids, grid, users, 10.0)
         assert result.sum_rate == pytest.approx(best, abs=1e-9)
         assert result.sum_rate == pytest.approx(0.0012607481875529015, abs=1e-12)
 
     def test_early_exit_fixed_point(self):
-        grids = SearchGrids.from_bounds(self.BOUNDS, 4, 4)
-        scenario = make_scenario(6)
-        result = alternate_optimize(grids, 10.0, scenario, NOISE, i_max=50)
+        grids = bounded_grids(4, 4)
+        gains = default_gains(grids, 6)
+        result = alternate_optimize(grids, gains, 10.0, NOISE, i_max=50)
         assert len(result.trace) <= 50
-        again = alternate_optimize(
-            grids, 10.0, scenario, NOISE, i_max=len(result.trace) + 1
-        )
+        again = alternate_optimize(grids, gains, 10.0, NOISE, i_max=len(result.trace) + 1)
         assert again.chosen_b == result.chosen_b
         assert again.chosen_L == result.chosen_L
         np.testing.assert_array_equal(again.powers.powers, result.powers.powers)
 
-    def test_early_exit_off_runs_full_budget(self):
+    def test_stop_reason(self):
+        # one geometry: iteration 2 repeats iteration 1 exactly
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
-        scenario = make_scenario()
-        result = alternate_optimize(
-            grids, 10.0, scenario, NOISE, i_max=5, early_exit=False
-        )
-        assert len(result.trace) == 5
+        gains = default_gains(grids)
+        capped = alternate_optimize(grids, gains, 10.0, NOISE, i_max=1)
+        assert (len(capped.trace), capped.stop_reason) == (1, "i_max")
+        converged = alternate_optimize(grids, gains, 10.0, NOISE, i_max=5)
+        assert (len(converged.trace), converged.stop_reason) == (2, "fixed_point")
 
     def test_i_max_validation(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
         with pytest.raises(ValueError):
-            alternate_optimize(grids, 10.0, make_scenario(), NOISE, i_max=0)
+            alternate_optimize(grids, default_gains(grids), 10.0, NOISE, i_max=0)
 
     def test_chosen_values_on_grid(self):
-        grids = SearchGrids.from_bounds(self.BOUNDS, 5, 7)
-        result = alternate_optimize(grids, 10.0, make_scenario(), NOISE)
+        grids = bounded_grids(5, 7)
+        result = alternate_optimize(grids, default_gains(grids), 10.0, NOISE)
         assert result.chosen_b in grids.b_grid
         assert result.chosen_L in grids.L_grid
 
@@ -242,13 +258,14 @@ class TestAlternateOptimize:
 class TestSerialization:
     def test_trace_csv_and_report(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
-        result = alternate_optimize(grids, 10.0, make_scenario(), NOISE)
+        result = alternate_optimize(grids, default_gains(grids), 10.0, NOISE)
         csv = result.trace_csv().splitlines()
         assert csv[0] == "iter,b_m,L_m,rate_bits"
         assert csv[1].startswith("1,0.001,0.02,")
         report = result.report_text()
         assert "chosen_b_m: 0.001" in report
         assert "sum_rate_bits:" in report
+        assert report.endswith("iterations: 2\nstop_reason: fixed_point\n")
 
 
 class TestPowerAllocation:

@@ -6,7 +6,6 @@ import pytest
 from lwacomm.physics import (
     SPEED_OF_LIGHT,
     CutoffViolation,
-    LwaBounds,
     LwaConfig,
     beam_peak_frequency,
     diffraction_gain,
@@ -171,12 +170,6 @@ class TestValidation:
     def test_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             LwaConfig(**kwargs)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            LwaBounds(2e-3, 1e-3, 1e-2, 5e-2)
-        with pytest.raises(ValueError):
-            LwaBounds(1e-3, 2e-3, 5e-2, 1e-2)
 
     def test_cutoff_frequency(self):
         assert B1MM.cutoff_frequency == pytest.approx(149896229000.0)
