@@ -45,40 +45,3 @@ from .experiments import (
     run_snr_sweep,
     sample_users,
 )
-
-__all__ = [
-    "SPEED_OF_LIGHT",
-    "CutoffViolation",
-    "LwaConfig",
-    "beam_peak_frequency",
-    "diffraction_gain",
-    "emission_angle",
-    "ChannelMatrix",
-    "FrequencyGrid",
-    "InverseRangeLoss",
-    "NoiseModel",
-    "UserSet",
-    "average_sum_rate",
-    "beampattern",
-    "build_channel",
-    "subband_rate",
-    "AllGainsZero",
-    "AllocationResult",
-    "PowerAllocation",
-    "SearchGrids",
-    "alternate_optimize",
-    "grid_search_geometry",
-    "waterfill",
-    "MimoChannelTensor",
-    "UlaGeometry",
-    "ZeroChannel",
-    "build_mimo_channel",
-    "mimo_sum_rate",
-    "normalize_to_lwa",
-    "ConfigError",
-    "ScenarioConfig",
-    "SweepResult",
-    "run_beampattern_experiment",
-    "run_snr_sweep",
-    "sample_users",
-]

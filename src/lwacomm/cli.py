@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         handler(args, config)
-    except (AllGainsZero, ZeroChannel, CutoffViolation, FloatingPointError) as exc:
+    except (AllGainsZero, ZeroChannel, CutoffViolation) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

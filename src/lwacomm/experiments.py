@@ -65,6 +65,10 @@ class ScenarioConfig:
     trials: int = 20
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if not (0 < self.f_low_hz < self.f_high_hz):
             raise ConfigError("need 0 < f_low_hz < f_high_hz")
         if self.num_subbands < 1 or self.num_users < 1:

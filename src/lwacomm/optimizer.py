@@ -19,10 +19,6 @@ import numpy as np
 
 from .channel import NoiseModel
 
-WATERFILL_MAX_ITER = 200
-WATERFILL_RESIDUAL_RTOL = 1e-12
-
-
 class AllGainsZero(ValueError):
     """No subband carries positive gain: waterfilling is undefined."""
 
@@ -112,12 +108,17 @@ class AllocationResult:
 def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocation:
     """Waterfilling P_n = max(1/nu - sigma^2/g_n, 0) with sum P_n = budget.
 
-    The water level is found by bisection; zero-gain subbands receive
-    exactly zero power. Raises AllGainsZero when no gain is positive.
+    Exact water level (Palomar & Fonollosa, IEEE TSP 2005): with the floors
+    f = sigma^2/g sorted ascending and S_k the sum of the first k, K =
+    #{k : P > k f_(k) - S_k} subbands are active and P_n = max(P - (K f_n -
+    S_K), 0) / K. That is the level (P + S_K)/K minus f_n, written so that a
+    budget far below the floors is not lost in their rounding. Zero-gain
+    subbands receive exactly zero power. Raises AllGainsZero when no gain is
+    positive.
     """
     gains = np.asarray(gains_squared, dtype=float)
-    if budget_P <= 0:
-        raise ValueError("budget_P must be > 0")
+    if not 0 < budget_P < math.inf:
+        raise ValueError("budget_P must be finite and > 0")
     if np.any(gains < 0):
         raise ValueError("gains_squared must be >= 0")
     positive = gains > 0
@@ -125,27 +126,12 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
         raise AllGainsZero("all subband gains are zero")
 
     floors = noise.variance_sigma2 / gains[positive]
-    lo = float(floors.min())
-    hi = lo + budget_P
-    level = hi
-    for _ in range(WATERFILL_MAX_ITER):
-        level = 0.5 * (lo + hi)
-        total = np.maximum(level - floors, 0.0).sum()
-        if abs(total - budget_P) <= WATERFILL_RESIDUAL_RTOL * budget_P:
-            break
-        if total < budget_P:
-            lo = level
-        else:
-            hi = level
-
-    alloc = np.maximum(level - floors, 0.0)
-    # spread the residual over the active set so the budget is exactly tight
-    active = alloc > 0
-    alloc[active] += (budget_P - alloc.sum()) / np.count_nonzero(active)
-    alloc = np.maximum(alloc, 0.0)
-
+    sorted_floors = np.sort(floors)
+    cumulative = np.cumsum(sorted_floors)
+    k = np.arange(1, floors.size + 1)
+    K = np.count_nonzero(budget_P > k * sorted_floors - cumulative)
     powers = np.zeros_like(gains)
-    powers[positive] = alloc
+    powers[positive] = np.maximum(budget_P - (K * floors - cumulative[K - 1]), 0.0) / K
     return PowerAllocation(powers, budget_P)
 
 
@@ -179,9 +165,10 @@ def alternate_optimize(
     """Alternating optimization: geometry grid search, then waterfilling.
 
     gains is the (B, L, N) array of squared channel norms over `grids`.
-    Starts from the uniform allocation P/N and stops as soon as geometry
-    and powers reproduce themselves between iterations, or after i_max
-    iterations.
+    Starts from the uniform allocation P/N and stops as soon as the
+    geometry step returns the same (i, j) twice in a row, or after i_max
+    iterations. Waterfilling is a pure function of gains[i, j], so a
+    repeated geometry repeats the powers too.
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
@@ -198,10 +185,10 @@ def alternate_optimize(
         trace.append(
             TraceRecord(it, float(grids.b_grid[i]), float(grids.L_grid[j]), math.fsum(rates) / n)
         )
-        if prev is not None and prev[:2] == (i, j) and np.array_equal(prev[2], alloc.powers):
+        if prev == (i, j):
             stop_reason = "fixed_point"
             break
-        prev = (i, j, alloc.powers)
+        prev = (i, j)
 
     last = trace[-1]
     return AllocationResult(last.b_m, last.L_m, alloc, last.rate_bits, tuple(trace), stop_reason)

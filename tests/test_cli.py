@@ -1,3 +1,5 @@
+import math
+
 from lwacomm.cli import main
 
 FAST_CFG = """
@@ -73,6 +75,23 @@ def test_bad_config_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "no_such_key = 1\n")
     assert main(["optimize", "--config", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, FAST_CFG + "power_budget = inf\n")
+    assert main(["compare-mimo", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_tiny_budget_is_allocated(tmp_path):
+    # floors sigma^2/g far above the budget must not swallow it
+    cfg = write_cfg(tmp_path, FAST_CFG + "power_budget = 1e-18\n")
+    out = tmp_path / "tiny"
+    assert main(["optimize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = (out / "allocation.txt").read_text()
+    powers = next(line for line in report.splitlines() if line.startswith("powers:"))
+    total = sum(float(p) for p in powers.split()[1:])
+    assert math.isclose(total, 1e-18, rel_tol=1e-7)
 
 
 def test_missing_config_file_exits_2(tmp_path):

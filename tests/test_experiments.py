@@ -107,6 +107,9 @@ class TestConfig:
             {"trials": 0},
             {"b_min_m": 2e-3, "b_max_m": 1e-3},
             {"slit_min_m": 5e-2, "slit_max_m": 1e-2},
+            {"power_budget": math.inf},
+            {"mimo_ref_frequency_hz": math.nan},
+            {"range_max_m": math.inf},
         ],
     )
     def test_invariants(self, kwargs):

@@ -1,9 +1,11 @@
 """Golden snapshot of the default scenario, seeds 0-49.
 
-For each seed the first trial's user draw is optimized and the chosen
-(b, L), the sum rate and the trace length are compared with
-golden_default.json by exact equality, so a refactor of the optimizer's
-hot path must reproduce the recorded outputs bit for bit.
+For each seed the first trial's user draw is optimized and compared with
+golden_default.json: the chosen (b, L) and the trace length by exact
+equality, the sum rate to a relative 1e-12. The file was recorded when
+waterfilling bisected for its water level; the exact closed-form level
+rounds differently in the last bits of the powers, which moves the sum
+rate by up to 8e-15 relative on 16 of the 50 seeds and changes no choice.
 
 Record the file again (only when a change of outputs is intended) with
 
@@ -11,6 +13,7 @@ Record the file again (only when a change of outputs is intended) with
 """
 
 import json
+import math
 from pathlib import Path
 
 from lwacomm.experiments import ScenarioConfig, optimize_scenario, sample_users
@@ -31,11 +34,20 @@ def snapshot(seed: int) -> dict:
     }
 
 
+def matches(want: dict, got: dict) -> bool:
+    exact = ("seed", "b_m", "L_m", "iterations")
+    return [got[k] for k in exact] == [want[k] for k in exact] and math.isclose(
+        got["sum_rate"], want["sum_rate"], rel_tol=1e-12
+    )
+
+
 def test_default_scenarios_match_golden():
     golden = json.loads(GOLDEN_PATH.read_text())
     assert [entry["seed"] for entry in golden] == list(SEEDS)
     mismatches = [
-        (want, got) for want, got in zip(golden, map(snapshot, SEEDS)) if got != want
+        (want, got)
+        for want, got in zip(golden, map(snapshot, SEEDS))
+        if not matches(want, got)
     ]
     assert not mismatches, mismatches[:3]
 

@@ -53,8 +53,19 @@ class TestWaterfill:
             waterfill([0.0, 0.0], 1.0, NOISE)
 
     def test_budget_validation(self):
-        with pytest.raises(ValueError):
-            waterfill([1.0], 0.0, NOISE)
+        for budget in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                waterfill([1.0], budget, NOISE)
+
+    @pytest.mark.parametrize(
+        "gains, expected",
+        [([1e-20], [1.0]), ([1e-17, 1e-17], [0.5, 0.5])],
+    )
+    def test_budget_far_below_floors(self, gains, expected):
+        # floors sigma^2/g of 1e17 and more: the budget of 1 is below their
+        # ulp, so a water level formed as floor + power would lose it
+        alloc = waterfill(gains, 1.0, NOISE)
+        np.testing.assert_allclose(alloc.powers, expected, rtol=1e-12)
 
     def test_budget_tight_random(self):
         rng = np.random.default_rng(5)
