@@ -115,16 +115,6 @@ class ChannelMatrix:
         return np.sum(np.abs(self.entries) ** 2, axis=1)
 
 
-def _entries(config: LwaConfig, freqs: np.ndarray, angles: np.ndarray, gamma: np.ndarray):
-    """N x K entries G(phi_k, f_n) * gamma[n, k], zero below the cutoff, and
-    the mask of the subbands at or above it."""
-    valid = freqs >= config.cutoff_frequency
-    entries = np.zeros((freqs.size, angles.size), dtype=complex)
-    if np.any(valid):
-        entries[valid] = diffraction_gain_grid(config, angles, freqs[valid]) * gamma[valid]
-    return entries, valid
-
-
 def build_channel(
     config: LwaConfig,
     grid: FrequencyGrid,
@@ -137,8 +127,9 @@ def build_channel(
     """
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
-    entries, valid = _entries(config, freqs, users.angles_rad, gamma)
-    return ChannelMatrix(entries, tuple(int(n) for n in np.nonzero(~valid)[0]))
+    entries = diffraction_gain_grid(config, users.angles_rad, freqs) * gamma
+    subcutoff = np.nonzero(freqs < config.cutoff_frequency)[0]
+    return ChannelMatrix(entries, tuple(int(n) for n in subcutoff))
 
 
 def geometry_gains_squared(
@@ -152,17 +143,15 @@ def geometry_gains_squared(
 
     Entry [i, j] equals build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
     users, loss).gains_squared bitwise, so subbands below that geometry's
-    cutoff are zero. The norms do not depend on the powers: one array per
-    user draw serves every step of the alternating optimization.
+    cutoff are zero. One gain evaluation per b covers all slit lengths. The
+    norms do not depend on the powers: one array per user draw serves every
+    step of the alternating optimization.
     """
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
-    gains2 = np.empty((len(b_grid), len(L_grid), freqs.size))
-    for i, b in enumerate(b_grid):
-        for j, L in enumerate(L_grid):
-            entries, _ = _entries(LwaConfig(b, L), freqs, users.angles_rad, gamma)
-            gains2[i, j] = np.sum(np.abs(entries) ** 2, axis=1)
-    return gains2
+    slits = np.asarray(L_grid, dtype=float)[:, None, None]
+    rows = (diffraction_gain_grid(LwaConfig(b, slits), users.angles_rad, freqs) for b in b_grid)
+    return np.stack([np.sum(np.abs(row * gamma) ** 2, axis=-1) for row in rows])
 
 
 def subband_rate(h_n: np.ndarray, power: float, noise: NoiseModel) -> float:
@@ -209,12 +198,9 @@ def beampattern(
         raise ValueError("angle and range grids must be non-empty")
 
     freqs = grid.frequencies
-    valid = freqs >= config.cutoff_frequency
-    if not np.any(valid):
-        return np.full((angle_grid.size, range_grid.size), floor)
-    gains2 = np.abs(diffraction_gain_grid(config, angle_grid, freqs[valid])) ** 2
-    gamma2 = loss.evaluate(range_grid[None, :], freqs[valid][:, None]) ** 2
-    energy = np.einsum("n,na,nr->ar", powers[valid], gains2, gamma2)
+    gains2 = np.abs(diffraction_gain_grid(config, angle_grid, freqs)) ** 2
+    gamma2 = loss.evaluate(range_grid[None, :], freqs[:, None]) ** 2
+    energy = np.einsum("n,na,nr->ar", powers, gains2, gamma2)
     return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)
 
 
@@ -241,5 +227,5 @@ def frequency_bins_near_angle(
     freqs = grid.frequencies
     valid = freqs >= config.cutoff_frequency
     ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * freqs[valid])
-    ang = np.arcsin(ratio)
+    ang = np.arcsin(np.minimum(ratio, 1.0))  # at the cutoff, ratio can round above 1
     return int(np.count_nonzero(np.abs(ang - angle_rad) <= halfwidth_rad))

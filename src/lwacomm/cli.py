@@ -1,7 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: optimize, beampattern, sweep-snr, compare-mimo. Exit codes:
-0 success, 2 config validation failure, 3 numerical failure.
+0 success, 2 config validation failure, 3 numerical failure. A numpy
+overflow, division by zero or invalid operation during a command is a
+numerical failure, not a warning.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from .experiments import (
     ConfigError,
@@ -23,7 +27,6 @@ from .experiments import (
 )
 from .mimo import ZeroChannel
 from .optimizer import AllGainsZero
-from .physics import CutoffViolation
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,8 +145,12 @@ def main(argv=None) -> int:
         "compare-mimo": _cmd_compare,
     }[args.command]
     try:
-        handler(args, config)
-    except (AllGainsZero, ZeroChannel, CutoffViolation) as exc:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            handler(args, config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (AllGainsZero, ZeroChannel, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

@@ -73,7 +73,16 @@ class ScenarioConfig:
             raise ConfigError("need 0 < f_low_hz < f_high_hz")
         if self.num_subbands < 1 or self.num_users < 1:
             raise ConfigError("num_subbands and num_users must be >= 1")
-        if not (0 < self.angle_min_deg <= self.angle_max_deg <= 90):
+        try:
+            self.frequency_grid()
+        except ValueError:
+            raise ConfigError(
+                f"the band [{self.f_low_hz}, {self.f_high_hz}] Hz is too narrow "
+                f"for {self.num_subbands} distinct subband centers"
+            ) from None
+        # math.radians, not the degrees: a subnormal angle_min_deg is 0 rad
+        if not (0 < math.radians(self.angle_min_deg)
+                and self.angle_min_deg <= self.angle_max_deg <= 90):
             raise ConfigError("angle range must satisfy 0 < min <= max <= 90")
         if not (0 < self.range_min_m <= self.range_max_m):
             raise ConfigError("range interval must satisfy 0 < min <= max")
@@ -109,10 +118,20 @@ class ScenarioConfig:
         return NoiseModel(self.noise_variance)
 
     def ula(self) -> UlaGeometry:
+        """The MIMO baseline's array. Only compare-mimo and sweep-snr use it,
+        so its fields are checked here rather than in __post_init__."""
         f_ref = self.mimo_ref_frequency_hz
         if f_ref == 0.0:
             f_ref = 0.5 * (self.f_low_hz + self.f_high_hz)
-        return UlaGeometry(self.mimo_elements, f_ref)
+        if f_ref < 0:
+            raise ConfigError("mimo_ref_frequency_hz must be > 0 (or 0 for band center)")
+        ula = UlaGeometry(self.mimo_elements, f_ref)
+        if not ula.aperture_m / 2.0 < self.range_min_m:
+            raise ConfigError(
+                f"the ULA's half aperture {ula.aperture_m / 2.0:.6g} m reaches "
+                f"range_min_m {self.range_min_m:.6g} m; raise mimo_ref_frequency_hz"
+            )
+        return ula
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
@@ -171,13 +190,14 @@ def optimize_scenario(
 
 def paired_rates(config: ScenarioConfig, trial: int, budget: float):
     """LWA-optimized and normalized-MIMO rates for one trial's user draw."""
+    ula = config.ula()
     users = sample_users(config, trial)
     result = optimize_scenario(config, users, budget)
     grid = config.frequency_grid()
     lwa_channel = build_channel(
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
-    tensor = build_mimo_channel(config.ula(), grid, users)
+    tensor = build_mimo_channel(ula, grid, users)
     tensor = normalize_to_lwa(tensor, lwa_channel)
     mimo_rate = mimo_sum_rate(tensor, budget, config.noise())
     return result.sum_rate, mimo_rate, result
@@ -255,6 +275,17 @@ def _mean_std(values) -> tuple:
     return mean, math.sqrt(var)
 
 
+def _snr_budget(config: ScenarioConfig, snr_db: float) -> float:
+    """P = SNR * N * sigma^2; ConfigError unless it is finite and > 0."""
+    try:
+        budget = 10.0 ** (snr_db / 10.0) * config.num_subbands * config.noise_variance
+    except OverflowError:
+        budget = math.inf
+    if not 0 < budget < math.inf:
+        raise ConfigError(f"SNR {snr_db} dB gives the power budget {budget}; need finite and > 0")
+    return budget
+
+
 def run_snr_sweep(config: ScenarioConfig, snr_points_db) -> SweepResult:
     """Mean/std sum-rate of both systems over the trial set, per SNR point.
 
@@ -264,9 +295,9 @@ def run_snr_sweep(config: ScenarioConfig, snr_points_db) -> SweepResult:
     snr_points_db = list(snr_points_db)
     if not snr_points_db:
         raise ValueError("need at least one SNR point")
+    budgets = [_snr_budget(config, snr_db) for snr_db in snr_points_db]
     points = []
-    for snr_db in snr_points_db:
-        budget = 10.0 ** (snr_db / 10.0) * config.num_subbands * config.noise_variance
+    for snr_db, budget in zip(snr_points_db, budgets):
         lwa_rates, mimo_rates = [], []
         for trial in range(config.trials):
             lwa_rate, mimo_rate, _ = paired_rates(config, trial, budget)

@@ -99,7 +99,8 @@ def mimo_sum_rate(
 
     Pools the squared singular values of every subband matrix H_n as
     parallel channels, waterfills the budget across the pool, and averages
-    the resulting rates over the N subbands.
+    the resulting rates over the N subbands. Raises FloatingPointError if
+    the rate is not finite.
     """
     if budget_P <= 0:
         raise ValueError("budget_P must be > 0")
@@ -108,4 +109,7 @@ def mimo_sum_rate(
     pooled = (svals ** 2).ravel()
     alloc = waterfill(pooled, budget_P, noise)
     rates = np.log2(1.0 + alloc.powers * pooled / noise.variance_sigma2)
-    return float(math.fsum(rates) / n_subbands)
+    rate = math.fsum(rates) / n_subbands
+    if not math.isfinite(rate):
+        raise FloatingPointError(f"the MIMO rate is not finite: {rate}")
+    return rate

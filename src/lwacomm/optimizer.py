@@ -19,6 +19,9 @@ import numpy as np
 
 from .channel import NoiseModel
 
+BUDGET_RTOL = 1e-9  # rounding allowance on sum(powers) <= budget
+
+
 class AllGainsZero(ValueError):
     """No subband carries positive gain: waterfilling is undefined."""
 
@@ -37,7 +40,7 @@ class PowerAllocation:
             raise ValueError("total_budget_P must be > 0")
         if np.any(powers < 0):
             raise ValueError("powers must be non-negative")
-        if powers.sum() > self.total_budget_P * (1.0 + 1e-9):
+        if powers.sum() > self.total_budget_P * (1.0 + BUDGET_RTOL):
             raise ValueError("powers exceed the total budget")
 
     @classmethod
@@ -114,7 +117,8 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
     S_K), 0) / K. That is the level (P + S_K)/K minus f_n, written so that a
     budget far below the floors is not lost in their rounding. Zero-gain
     subbands receive exactly zero power. Raises AllGainsZero when no gain is
-    positive.
+    positive, and FloatingPointError when the rounding of the floors puts
+    the powers over the budget.
     """
     gains = np.asarray(gains_squared, dtype=float)
     if not 0 < budget_P < math.inf:
@@ -132,6 +136,9 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
     K = np.count_nonzero(budget_P > k * sorted_floors - cumulative)
     powers = np.zeros_like(gains)
     powers[positive] = np.maximum(budget_P - (K * floors - cumulative[K - 1]), 0.0) / K
+    if powers.sum() > budget_P * (1.0 + BUDGET_RTOL):
+        # floors far above the budget and within rounding of each other
+        raise FloatingPointError("waterfilling lost the budget to the rounding of the floors")
     return PowerAllocation(powers, budget_P)
 
 
@@ -168,7 +175,8 @@ def alternate_optimize(
     Starts from the uniform allocation P/N and stops as soon as the
     geometry step returns the same (i, j) twice in a row, or after i_max
     iterations. Waterfilling is a pure function of gains[i, j], so a
-    repeated geometry repeats the powers too.
+    repeated geometry repeats the powers too. Raises FloatingPointError if a
+    rate or power is not finite (for example an infinite gain).
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
@@ -191,4 +199,7 @@ def alternate_optimize(
         prev = (i, j)
 
     last = trace[-1]
+    rates_bits = [rec.rate_bits for rec in trace]
+    if not (np.isfinite(rates_bits).all() and np.isfinite(alloc.powers).all()):
+        raise FloatingPointError("the optimization produced a non-finite rate or power")
     return AllocationResult(last.b_m, last.L_m, alloc, last.rate_bits, tuple(trace), stop_reason)

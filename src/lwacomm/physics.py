@@ -35,16 +35,18 @@ class LwaConfig:
     leakage_alpha is the per-meter attenuation of the guided wave due to
     leakage out of the slit; it is negligible in practice and defaults to 0,
     but a nonzero value exercises the complex branch of the gain.
+    slit_length_L may be a (J, 1, 1) array of slit lengths, for which
+    diffraction_gain_grid returns one gain grid per slit.
     """
 
     plate_separation_b: float
-    slit_length_L: float
+    slit_length_L: float | np.ndarray
     leakage_alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.plate_separation_b <= 0:
+        if np.any(self.plate_separation_b <= 0):
             raise ValueError("plate_separation_b must be > 0")
-        if self.slit_length_L <= 0:
+        if np.any(self.slit_length_L <= 0):
             raise ValueError("slit_length_L must be > 0")
         if self.leakage_alpha < 0:
             raise ValueError("leakage_alpha must be >= 0")
@@ -55,6 +57,14 @@ class LwaConfig:
         return SPEED_OF_LIGHT / (2.0 * self.plate_separation_b)
 
 
+def _require_propagating(config: LwaConfig, frequency: float) -> None:
+    if frequency < config.cutoff_frequency:
+        raise CutoffViolation(
+            f"frequency {frequency:.6g} Hz below cutoff "
+            f"{config.cutoff_frequency:.6g} Hz"
+        )
+
+
 def emission_angle(config: LwaConfig, frequency: float) -> float:
     """Azimuth angle (rad) at which `frequency` is radiated: arcsin(c/(2bf)).
 
@@ -63,13 +73,9 @@ def emission_angle(config: LwaConfig, frequency: float) -> float:
     """
     if frequency <= 0:
         raise ValueError("frequency must be > 0")
+    _require_propagating(config, frequency)
     ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequency)
-    if ratio > 1.0:
-        raise CutoffViolation(
-            f"frequency {frequency:.6g} Hz below cutoff "
-            f"{config.cutoff_frequency:.6g} Hz"
-        )
-    return math.asin(ratio)
+    return math.asin(min(ratio, 1.0))  # at the cutoff, ratio can round to 1 + 2^-52
 
 
 def beam_peak_frequency(config: LwaConfig, angle: float) -> float:
@@ -99,11 +105,12 @@ def diffraction_gain(config: LwaConfig, angle: float, frequency: float) -> compl
     beta = k0*sqrt(1 - (c/(2bf))^2) is the guided-mode phase constant and
     k0 = 2*pi*f/c the free-space wavenumber. With alpha = 0 the gain is real,
     |G| <= 1, and |G| = 1 exactly at the emission angle of `frequency`.
-    Raises CutoffViolation below cutoff, where beta would be imaginary.
+    Raises CutoffViolation below cutoff, where no mode propagates.
     """
     gain = diffraction_gain_grid(
         config, np.asarray([angle], dtype=float), np.asarray([frequency], dtype=float)
     )
+    _require_propagating(config, frequency)
     return complex(gain[0, 0])
 
 
@@ -112,22 +119,21 @@ def diffraction_gain_grid(
 ) -> np.ndarray:
     """Diffraction gain on the outer grid of `frequencies` x `angles`.
 
-    Returns a complex array of shape (len(frequencies), len(angles)). All
-    frequencies must be at or above the cutoff c/(2b).
+    Returns a complex array of shape (len(frequencies), len(angles)), or
+    (J, len(frequencies), len(angles)) when slit_length_L is a (J, 1, 1)
+    array. Below the cutoff c/(2b) the guided mode is evanescent and
+    radiates nothing: those frequencies get a gain of exactly 0.
     """
     angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
     if np.any(frequencies <= 0):
         raise ValueError("frequencies must be > 0")
+    valid = frequencies >= config.cutoff_frequency
     ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
-    if np.any(ratio > 1.0):
-        raise CutoffViolation(
-            f"frequencies below cutoff {config.cutoff_frequency:.6g} Hz"
-        )
     k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
-    beta = k0 * np.sqrt(1.0 - ratio ** 2)
+    beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
     z = (
         (beta - 1j * config.leakage_alpha)[:, None]
         - k0[:, None] * np.cos(angles)[None, :]
     ) * (config.slit_length_L / 2.0)
-    return _sinc(z)
+    return np.where(valid[:, None], _sinc(z), 0.0)

@@ -71,6 +71,10 @@ class TestBuildChannel:
         assert channel.subcutoff_subbands == (0, 1)
         assert np.all(channel.entries[:2] == 0)
         assert channel.entries[2, 0] != 0
+        # the cutoff frequency itself propagates
+        grid = FrequencyGrid(np.array([cfg.cutoff_frequency]))
+        at_cutoff = build_channel(cfg, grid, users, LOSS)
+        assert at_cutoff.subcutoff_subbands == () and at_cutoff.entries[0, 0] != 0
 
     @pytest.mark.parametrize("num_users", [1, 4])
     def test_geometry_gains_squared_matches_per_point_channels(self, num_users):
@@ -230,6 +234,10 @@ class TestBeampattern:
         phi = emission_angle(cfg, grid.frequencies[10])
         count = frequency_bins_near_angle(cfg, grid, phi, math.radians(2.0))
         assert count >= 1
+        # the cutoff frequency radiates broadside, even where c/(2 b f) rounds above 1
+        cfg = LwaConfig(0.0005375138883100129, 20e-3)
+        grid = FrequencyGrid(np.array([cfg.cutoff_frequency, 2 * cfg.cutoff_frequency]))
+        assert frequency_bins_near_angle(cfg, grid, math.pi / 2, 1e-9) == 1
 
 
 class TestValidation:

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from lwacomm.cli import main
 
 FAST_CFG = """
@@ -108,3 +110,44 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert main(["optimize", "--config", cfg, "--quiet"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# ranges of 1e-200 m make the path-loss gain squared overflow
+TINY_RANGE_CFG = FAST_CFG + "range_min_m = 1e-200\nrange_max_m = 1e-200\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra, report",
+    [
+        ("optimize", "", "allocation.txt"),  # used to write sum_rate_bits: inf
+        ("compare-mimo", "mimo_elements = 1\n", "compare.txt"),  # used to raise LinAlgError
+    ],
+)
+def test_overflow_exits_3_before_writing(tmp_path, capsys, command, extra, report):
+    cfg = write_cfg(tmp_path, TINY_RANGE_CFG + extra)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
+@pytest.mark.parametrize("f_ref", ["-5", "1e-300"])
+def test_bad_mimo_config_exits_2(tmp_path, capsys, f_ref):
+    cfg = write_cfg(tmp_path, FAST_CFG + f"mimo_ref_frequency_hz = {f_ref}\n")
+    assert main(["compare-mimo", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+    assert "config error" in capsys.readouterr().err
+    # optimize does not use the ULA and still runs the config
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "inf", "4000", "-4000"])
+def test_bad_snr_point_exits_2(tmp_path, capsys, snr_db):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "sw"
+    code = main(
+        ["sweep-snr", "--config", cfg, "--out", str(out), "--quiet",
+         "--trials", "1", "--snr-db", "0", snr_db]
+    )
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()

@@ -110,11 +110,21 @@ class TestConfig:
             {"power_budget": math.inf},
             {"mimo_ref_frequency_hz": math.nan},
             {"range_max_m": math.inf},
+            {"f_low_hz": 1e11, "f_high_hz": 100000000000.00002},  # no 40 distinct centers
+            {"angle_min_deg": 5e-324, "angle_max_deg": 5e-324},  # 0 rad
         ],
     )
     def test_invariants(self, kwargs):
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+
+    # a negative reference frequency, and one so low that the ULA's aperture
+    # is wider than the users' range
+    @pytest.mark.parametrize("f_ref", [-5.0, 1e-300])
+    def test_ula_invariants(self, f_ref):
+        config = ScenarioConfig(mimo_ref_frequency_hz=f_ref)  # optimize still accepts it
+        with pytest.raises(ConfigError):
+            config.ula()
 
 
 class TestBeampatternExperiment:

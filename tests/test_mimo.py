@@ -154,6 +154,12 @@ class TestSumRate:
         with pytest.raises(ValueError):
             mimo_sum_rate(tensor, 0.0, NOISE)
 
+    def test_non_finite_rate_raises(self):
+        # s^2 = 1e400 overflows to inf, so the rate would be inf
+        tensor = MimoChannelTensor(np.full((1, 1, 1), 1e200, dtype=complex))
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            mimo_sum_rate(tensor, 1.0, NOISE)
+
     def test_monotone_in_elements_statistically(self):
         rng = np.random.default_rng(2024)
         grid = FrequencyGrid.subband_centers(200e9, 800e9, 8)

@@ -67,6 +67,14 @@ class TestWaterfill:
         alloc = waterfill(gains, 1.0, NOISE)
         np.testing.assert_allclose(alloc.powers, expected, rtol=1e-12)
 
+    def test_rounding_loss_raises(self):
+        # MIMO pool of a config with range_max_m = 1e150: floors ~1e297 that
+        # differ in their last bits, and a budget of 10
+        mantissas = ["35", "35", "35", "35", "35", "34", "37", "3c"]
+        gains = [float.fromhex(f"0x1.7babaef22d9{m}p-987") for m in mantissas]
+        with pytest.raises(FloatingPointError):
+            waterfill(gains, 10.0, NOISE)
+
     def test_budget_tight_random(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -253,6 +261,12 @@ class TestAlternateOptimize:
         assert (len(capped.trace), capped.stop_reason) == (1, "i_max")
         converged = alternate_optimize(grids, gains, 10.0, NOISE, i_max=5)
         assert (len(converged.trace), converged.stop_reason) == (2, "fixed_point")
+
+    def test_non_finite_rate_raises(self):
+        grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
+        gains = np.array([[[np.inf, 1.0]]])
+        with pytest.raises(FloatingPointError):
+            alternate_optimize(grids, gains, 10.0, NOISE)
 
     def test_i_max_validation(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))

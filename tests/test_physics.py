@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,6 +41,9 @@ class TestEmissionAngle:
     def test_cutoff_boundary_is_broadside(self):
         fc = SPEED_OF_LIGHT / (2 * 1e-3)
         assert emission_angle(B1MM, fc) == pytest.approx(math.pi / 2, abs=1e-15)
+        # c/(2 b f) at f = cutoff_frequency rounds to 1 + 2^-52 for this b
+        config = LwaConfig(0.0005375138883100129, 10e-3)
+        assert emission_angle(config, config.cutoff_frequency) == math.pi / 2
 
     def test_below_cutoff_raises(self):
         with pytest.raises(CutoffViolation):
@@ -99,6 +103,8 @@ class TestDiffractionGain:
     def test_below_cutoff_raises(self):
         with pytest.raises(CutoffViolation):
             diffraction_gain(B1MM, 0.5, 100e9)
+        with pytest.raises(CutoffViolation):
+            diffraction_gain(B1MM, 0.5, np.nextafter(B1MM.cutoff_frequency, 0.0))
 
     def test_grid_matches_scalar(self):
         angles = np.array([0.3, 0.9, 1.4])
@@ -107,6 +113,47 @@ class TestDiffractionGain:
         for i, f in enumerate(freqs):
             for j, a in enumerate(angles):
                 assert grid[i, j] == pytest.approx(diffraction_gain(B1MM, a, f))
+
+
+class TestCutoffContract:
+    """diffraction_gain_grid owns the cutoff: zero gain below c/(2b)."""
+
+    def test_slit_column_matches_oracle(self):
+        slits = ["10e-3", "20e-3", "35e-3"]
+        freqs = ["250e9", "420e9", "610e9"]
+        angles = np.array([0.2, 0.7, 1.2, math.pi / 2])
+        column = np.array([float(L) for L in slits])[:, None, None]
+        grid = diffraction_gain_grid(
+            LwaConfig(1e-3, column), angles, np.array([float(f) for f in freqs])
+        )
+        assert grid.shape == (3, 3, 4)
+        for j, L in enumerate(slits):
+            for n, f in enumerate(freqs):
+                for k, a in enumerate(angles):
+                    want = hp_diffraction_gain("1e-3", L, f, a)
+                    assert grid[j, n, k] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("slits", [10e-3, np.array([10e-3, 40e-3])[:, None, None]])
+    def test_subcutoff_entries_are_exactly_zero(self, slits):
+        freqs = np.array([100e9, np.nextafter(B1MM.cutoff_frequency, 0.0), 300e9])
+        grid = diffraction_gain_grid(LwaConfig(1e-3, slits), np.array([0.5, 1.5]), freqs)
+        below = grid[..., :2, :]
+        assert np.all(below.real == 0.0) and np.all(below.imag == 0.0)
+        assert np.all(grid[..., 2, :] != 0.0)
+
+    # at b = 0.53751... mm, c/(2 b f) at f = cutoff_frequency rounds to 1 + 2^-52
+    @pytest.mark.parametrize("b", [1e-3, 0.0005375138883100129])
+    def test_gain_at_cutoff_is_finite_without_warning(self, b):
+        config = LwaConfig(b, 10e-3)
+        angles = np.array([0.5, math.pi / 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = diffraction_gain_grid(config, angles, np.array([config.cutoff_frequency]))
+            scalar = diffraction_gain(config, math.pi / 2, config.cutoff_frequency)
+        assert np.all(np.isfinite(grid))
+        # at cutoff the emission angle is broadside, where the gain peaks at 1
+        assert grid[0, 1] == pytest.approx(1.0, abs=1e-12)
+        assert scalar == grid[0, 1]
 
 
 class TestBeamPeakFrequency:
@@ -165,10 +212,11 @@ class TestValidation:
             {"plate_separation_b": 0.0, "slit_length_L": 1e-2},
             {"plate_separation_b": 1e-3, "slit_length_L": -1.0},
             {"plate_separation_b": 1e-3, "slit_length_L": 1e-2, "leakage_alpha": -1},
+            {"plate_separation_b": 1e-3, "slit_length_L": np.array([[[1e-2]], [[0.0]]])},
         ],
     )
     def test_bad_config(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be"):
             LwaConfig(**kwargs)
 
     def test_cutoff_frequency(self):
