@@ -210,14 +210,29 @@ def export_beampattern_csv(
     range_grid_m: np.ndarray,
     energy_map: np.ndarray,
 ) -> None:
-    """Write the map as CSV rows (angle_deg, range_m, log_energy), angle-major."""
+    """Write the map as CSV rows (angle_deg, range_m, log_energy), angle-major.
+
+    Every number is written as %.9g. energy_map must have shape
+    (len(angle_grid_rad), len(range_grid_m)); ValueError otherwise, before
+    the file is opened.
+    """
     angle_deg = np.degrees(np.asarray(angle_grid_rad, dtype=float))
     range_m = np.asarray(range_grid_m, dtype=float)
+    energy_map = np.asarray(energy_map, dtype=float)
+    if energy_map.shape != (len(angle_deg), len(range_m)):
+        raise ValueError(
+            f"energy map of shape {energy_map.shape} does not match the "
+            f"{len(angle_deg)} x {len(range_m)} angle x range grid"
+        )
+    # One %-format per angle row: joining the row tails with the angle
+    # string gives "ang,rng_0,%.9g\nang,rng_1,%.9g\n..." (the leading ""
+    # puts the angle before the first tail and keeps an empty range grid
+    # empty). "%.9g" % x equals f"{x:.9g}" for every float.
+    tails = ["", *(f",{rng:.9g},%.9g\n" for rng in range_m)]
     with open(path, "w", newline="") as fh:
         fh.write("angle_deg,range_m,log_energy\n")
-        for i, ang in enumerate(angle_deg):
-            for j, rng in enumerate(range_m):
-                fh.write(f"{ang:.9g},{rng:.9g},{energy_map[i, j]:.9g}\n")
+        for ang, row in zip(angle_deg, energy_map):
+            fh.write(f"{ang:.9g}".join(tails) % tuple(row.tolist()))
 
 
 def frequency_bins_near_angle(

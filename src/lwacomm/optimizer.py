@@ -115,10 +115,13 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
     f = sigma^2/g sorted ascending and S_k the sum of the first k, K =
     #{k : P > k f_(k) - S_k} subbands are active and P_n = max(P - (K f_n -
     S_K), 0) / K. That is the level (P + S_K)/K minus f_n, written so that a
-    budget far below the floors is not lost in their rounding. Zero-gain
-    subbands receive exactly zero power. Raises AllGainsZero when no gain is
-    positive, and FloatingPointError when the rounding of the floors puts
-    the powers over the budget.
+    budget far below the floors is not lost in their rounding. Neither
+    expression changes when every floor is shifted, so the floors are taken
+    relative to the smallest: near it the differences are exact (Sterbenz),
+    even for floors far above the budget that differ only in their last
+    bits. Zero-gain subbands receive exactly zero power. Raises AllGainsZero
+    when no gain is positive, and FloatingPointError if the rounding of the
+    floors still puts the powers over the budget.
     """
     gains = np.asarray(gains_squared, dtype=float)
     if not 0 < budget_P < math.inf:
@@ -130,6 +133,7 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
         raise AllGainsZero("all subband gains are zero")
 
     floors = noise.variance_sigma2 / gains[positive]
+    floors = floors - floors.min()
     sorted_floors = np.sort(floors)
     cumulative = np.cumsum(sorted_floors)
     k = np.arange(1, floors.size + 1)

@@ -3,12 +3,14 @@
 These deliberately avoid the code paths they validate: high-precision
 scalar evaluation via mpmath, exhaustive grid maximization over the
 power simplex organized as a max-plus convolution (every grid point is
-considered; the DP only reorders the enumeration), and a brute-force
-replay of the alternating optimizer's stated updates that never calls
-the optimizer's own grid search or loop.
+considered; the DP only reorders the enumeration), waterfilling solved in
+exact rational arithmetic, a brute-force replay of the alternating
+optimizer's stated updates that never calls the optimizer's own grid
+search or loop, and the straightforward per-entry beampattern CSV writer.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -68,6 +70,29 @@ def simplex_grid_best_rate(gains_squared, budget, sigma2, steps) -> float:
     return float(acc[steps] / gains.size)
 
 
+def exact_waterfill(gains_squared, budget, sigma2) -> np.ndarray:
+    """The KKT solution of waterfilling, in exact rational arithmetic.
+
+    With floors f_n = sigma2/g_n of the positive gains, start with all of
+    them active at the level (budget + sum f_n)/|active|, drop every subband
+    whose floor reaches the level, and repeat until none does. Active
+    subbands get level - f_n, the rest 0; the result is rounded to float.
+    """
+    floors = {
+        n: Fraction(sigma2) / Fraction(g) for n, g in enumerate(gains_squared) if g > 0
+    }
+    active = set(floors)
+    while True:
+        level = (Fraction(budget) + sum(floors[n] for n in active)) / len(active)
+        kept = {n for n in active if floors[n] < level}
+        if kept == active:
+            break
+        active = kept
+    return np.array(
+        [float(level - floors[n]) if n in active else 0.0 for n in range(len(gains_squared))]
+    )
+
+
 @dataclass(frozen=True)
 class AlternatingReplay:
     """Where the replayed alternating updates stopped."""
@@ -113,3 +138,14 @@ def replay_alternating(b_grid, L_grid, budget, grid, users, loss, noise, i_max):
         tuple(trace),
         fixed_point,
     )
+
+
+def reference_export_beampattern_csv(path, angle_grid_rad, range_grid_m, energy_map) -> None:
+    """Write the beampattern CSV one formatted entry at a time."""
+    angle_deg = np.degrees(np.asarray(angle_grid_rad, dtype=float))
+    range_m = np.asarray(range_grid_m, dtype=float)
+    with open(path, "w", newline="") as fh:
+        fh.write("angle_deg,range_m,log_energy\n")
+        for i, ang in enumerate(angle_deg):
+            for j, rng in enumerate(range_m):
+                fh.write(f"{ang:.9g},{rng:.9g},{energy_map[i, j]:.9g}\n")

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lwacomm import experiments
 from lwacomm.channel import (
+    BEAMPATTERN_FLOOR,
     ChannelMatrix,
     FrequencyGrid,
     InverseRangeLoss,
@@ -19,7 +21,7 @@ from lwacomm.channel import (
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, emission_angle
 
-from oracles import hp_average_sum_rate
+from oracles import hp_average_sum_rate, reference_export_beampattern_csv
 
 LOSS = InverseRangeLoss()
 NOISE = NoiseModel(1.0)
@@ -227,6 +229,39 @@ class TestBeampattern:
         assert float(first[0]) == float(second[0]) == 1.0
         assert float(first[1]) == 5.0 and float(second[1]) == 10.0
         assert float(first[2]) == pytest.approx(m[0, 0], rel=1e-8)
+
+    def test_csv_export_matches_reference_writer(self, tmp_path):
+        angles = np.radians([0.1, 33.3333333333, 90.0])
+        ranges = np.array([5.0, 1e-7, 12.3456789123])
+        energy = np.array([
+            [BEAMPATTERN_FLOOR, -0.0, 5e-324],
+            [1e300, np.inf, np.nan],
+            [-np.inf, 1e-300, 1.2e11],
+        ])
+        export_beampattern_csv(tmp_path / "new.csv", angles, ranges, energy)
+        reference_export_beampattern_csv(tmp_path / "ref.csv", angles, ranges, energy)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_export_matches_reference_writer_on_default_map(self, tmp_path, monkeypatch):
+        # the 900 x 201 map of the default scenario, seed 0, as the
+        # experiment computes it
+        def both_writers(path, angles, ranges, energy):
+            export_beampattern_csv(path, angles, ranges, energy)
+            reference_export_beampattern_csv(tmp_path / "ref.csv", angles, ranges, energy)
+
+        monkeypatch.setattr(experiments, "export_beampattern_csv", both_writers)
+        config = experiments.ScenarioConfig(seed=0)
+        experiments.run_beampattern_experiment(config, tmp_path / "out", 0.1, 0.1)
+        written = (tmp_path / "out" / "beampattern.csv").read_bytes()
+        assert written.count(b"\n") == 1 + 900 * 201
+        assert written == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 2), (1, 4)])
+    def test_csv_export_rejects_mismatched_map(self, tmp_path, shape):
+        path = tmp_path / "map.csv"
+        with pytest.raises(ValueError, match="does not match"):
+            export_beampattern_csv(path, np.radians([10.0, 20.0]), [5.0, 10.0], np.zeros(shape))
+        assert not path.exists()
 
     def test_bin_counting_near_angle(self):
         cfg = LwaConfig(1e-3, 20e-3)

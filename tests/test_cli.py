@@ -96,6 +96,18 @@ def test_tiny_budget_is_allocated(tmp_path):
     assert math.isclose(total, 1e-18, rel_tol=1e-7)
 
 
+def test_floors_equal_within_rounding_are_allocated(tmp_path):
+    # users out to 1e150 m give a MIMO pool of floors ~1e297 that differ in
+    # their last bits; waterfilling used to overshoot the budget (exit 3)
+    cfg = write_cfg(tmp_path, FAST_CFG + "range_max_m = 1e150\n")
+    out = tmp_path / "far"
+    assert main(["compare-mimo", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = (out / "compare.txt").read_text().splitlines()
+    rates = [float(line.split(":")[1]) for line in report if "_rate_bits:" in line]
+    assert len(rates) == 2
+    assert all(math.isfinite(rate) and rate >= 0 for rate in rates)
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "nope.cfg")]) == 2
 

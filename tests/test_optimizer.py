@@ -13,6 +13,7 @@ from lwacomm.channel import (
     geometry_gains_squared,
 )
 from lwacomm.optimizer import (
+    BUDGET_RTOL,
     AllGainsZero,
     PowerAllocation,
     SearchGrids,
@@ -22,7 +23,7 @@ from lwacomm.optimizer import (
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
-from oracles import simplex_grid_best_rate
+from oracles import exact_waterfill, simplex_grid_best_rate
 
 NOISE = NoiseModel(1.0)
 LOSS = InverseRangeLoss()
@@ -67,13 +68,16 @@ class TestWaterfill:
         alloc = waterfill(gains, 1.0, NOISE)
         np.testing.assert_allclose(alloc.powers, expected, rtol=1e-12)
 
-    def test_rounding_loss_raises(self):
+    def test_rounding_of_floors_keeps_the_budget(self):
         # MIMO pool of a config with range_max_m = 1e150: floors ~1e297 that
         # differ in their last bits, and a budget of 10
         mantissas = ["35", "35", "35", "35", "35", "34", "37", "3c"]
         gains = [float.fromhex(f"0x1.7babaef22d9{m}p-987") for m in mantissas]
-        with pytest.raises(FloatingPointError):
-            waterfill(gains, 10.0, NOISE)
+        alloc = waterfill(gains, 10.0, NOISE)
+        assert np.all(alloc.powers >= 0)
+        assert math.isclose(alloc.powers.sum(), 10.0, rel_tol=BUDGET_RTOL)
+        expected = exact_waterfill(gains, 10.0, NOISE.variance_sigma2)
+        np.testing.assert_allclose(alloc.powers, expected, rtol=1e-12)
 
     def test_budget_tight_random(self):
         rng = np.random.default_rng(5)
