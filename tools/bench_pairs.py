@@ -27,8 +27,8 @@ import platform
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,12 +43,10 @@ def git(*args: str) -> str:
 
 def export(sha: str, dest: Path) -> None:
     """Write the committed tree of `sha` into dest with git archive."""
-    archive = dest.with_suffix(".tar")
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, stdout=fh)
-    dest.mkdir()
-    with tarfile.open(archive) as tar:
-        tar.extractall(dest, filter="data")
+    archive = dest.with_suffix(".zip")
+    git("archive", "--format=zip", f"--output={archive}", sha)
+    with zipfile.ZipFile(archive) as zf:
+        zf.extractall(dest)
     archive.unlink()
 
 
