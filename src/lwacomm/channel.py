@@ -159,7 +159,7 @@ def subband_rate(h_n: np.ndarray, power: float, noise: NoiseModel) -> float:
     if power < 0:
         raise ValueError("power must be >= 0")
     gain2 = float(np.sum(np.abs(np.asarray(h_n)) ** 2))
-    return math.log2(1.0 + power / noise.variance_sigma2 * gain2)
+    return math.log1p(power / noise.variance_sigma2 * gain2) / math.log(2.0)
 
 
 def average_sum_rate(channel: ChannelMatrix, powers, noise: NoiseModel) -> float:
@@ -170,8 +170,8 @@ def average_sum_rate(channel: ChannelMatrix, powers, noise: NoiseModel) -> float
         raise ValueError(
             f"power vector length {powers.size} != subband count {gains2.size}"
         )
-    rates = np.log2(1.0 + powers / noise.variance_sigma2 * gains2)
-    return float(math.fsum(rates) / gains2.size)
+    rates = np.log1p(powers / noise.variance_sigma2 * gains2)
+    return float(math.fsum(rates) / math.log(2.0) / gains2.size)
 
 
 def beampattern(

@@ -161,9 +161,11 @@ def grid_search_geometry(
     """
     if gains.shape[:2] != (grids.b_grid.size, grids.L_grid.size):
         raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
-    rates = np.log2(1.0 + fixed_powers.powers / noise.variance_sigma2 * gains).sum(axis=-1)
+    # log1p keeps the rates of per-subband SNRs below eps apart; the
+    # division by ln 2 does not change the ranking
+    rates = np.log1p(fixed_powers.powers / noise.variance_sigma2 * gains).sum(axis=-1)
     i, j = np.unravel_index(np.argmax(rates), rates.shape)
-    return int(i), int(j), float(rates[i, j] / gains.shape[-1])
+    return int(i), int(j), float(rates[i, j] / math.log(2.0) / gains.shape[-1])
 
 
 def alternate_optimize(
@@ -193,10 +195,9 @@ def alternate_optimize(
     for it in range(1, i_max + 1):
         i, j, _ = grid_search_geometry(grids, alloc, gains, noise)
         alloc = waterfill(gains[i, j], budget_P, noise)
-        rates = np.log2(1.0 + alloc.powers / noise.variance_sigma2 * gains[i, j])
-        trace.append(
-            TraceRecord(it, float(grids.b_grid[i]), float(grids.L_grid[j]), math.fsum(rates) / n)
-        )
+        rates = np.log1p(alloc.powers / noise.variance_sigma2 * gains[i, j])
+        rate = math.fsum(rates) / math.log(2.0) / n
+        trace.append(TraceRecord(it, float(grids.b_grid[i]), float(grids.L_grid[j]), rate))
         if prev == (i, j):
             stop_reason = "fixed_point"
             break

@@ -6,9 +6,12 @@ power simplex organized as a max-plus convolution (every grid point is
 considered; the DP only reorders the enumeration), waterfilling solved in
 exact rational arithmetic, a brute-force replay of the alternating
 optimizer's stated updates that never calls the optimizer's own grid
-search or loop, and the straightforward per-entry beampattern CSV writer.
+search or loop, the straightforward per-entry beampattern CSV writer, the
+MIMO rate from a full SVD of every subband matrix, and the MIMO tensor
+from one broadcast expression.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from lwacomm.channel import average_sum_rate, build_channel
 from lwacomm.optimizer import waterfill
-from lwacomm.physics import LwaConfig
+from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig
 
 C_MPF = mp.mpf(299792458)
 
@@ -149,3 +152,31 @@ def reference_export_beampattern_csv(path, angle_grid_rad, range_grid_m, energy_
         for i, ang in enumerate(angle_deg):
             for j, rng in enumerate(range_m):
                 fh.write(f"{ang:.9g},{rng:.9g},{energy_map[i, j]:.9g}\n")
+
+
+def svd_mimo_rate(tensor, budget_P, noise) -> float:
+    """Pooled-eigenmode waterfilling rate from the squared singular values
+    of every subband matrix of tensor.entries (the normalization factor is
+    not applied: pass the normalized entries)."""
+    if budget_P <= 0:
+        raise ValueError("budget_P must be > 0")
+    n_subbands = tensor.entries.shape[0]
+    svals = np.linalg.svd(tensor.entries, compute_uv=False)  # N x min(K, M)
+    pooled = (svals ** 2).ravel()
+    alloc = waterfill(pooled, budget_P, noise)
+    rates = np.log2(1.0 + alloc.powers * pooled / noise.variance_sigma2)
+    rate = math.fsum(rates) / n_subbands
+    if not math.isfinite(rate):
+        raise FloatingPointError(f"the MIMO rate is not finite: {rate}")
+    return rate
+
+
+def reference_mimo_entries(geometry, grid, users) -> np.ndarray:
+    """(1/d_km) exp(-j 2 pi f_n d_km / c) as one broadcast expression."""
+    ux = users.ranges_m * np.cos(users.angles_rad)
+    uy = users.ranges_m * np.sin(users.angles_rad)
+    pos = geometry.element_positions
+    dist = np.sqrt((ux[:, None] - pos[None, :]) ** 2 + uy[:, None] ** 2)  # K x M
+    freqs = grid.frequencies
+    phase = np.exp(-2j * np.pi * freqs[:, None, None] * dist[None, :, :] / SPEED_OF_LIGHT)
+    return phase / dist[None, :, :]

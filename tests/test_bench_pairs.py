@@ -1,0 +1,57 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+HIGHER = {"name": "ops_per_s", "unit": "op/s", "better": "higher", "bound": 0.25}
+LOWER = {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25}
+
+
+def summarize(metric, parent, change):
+    runs = [
+        {"parent": {"metrics": {metric["name"]: p}}, "change": {"metrics": {metric["name"]: c}}}
+        for p, c in zip(parent, change)
+    ]
+    return bench_pairs.summarize(runs, [metric])[metric["name"]]
+
+
+@pytest.mark.parametrize("metric", [HIGHER, LOWER], ids=["higher", "lower"])
+def test_ties_count_for_neither_side(metric):
+    entry = summarize(metric, [1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 3.0, 3.5])
+    assert entry["change_wins"] + entry["parent_wins"] == 2
+    assert entry["change_wins"] == entry["parent_wins"] == 1
+
+
+@pytest.mark.parametrize(
+    "metric, change_wins, gain", [(HIGHER, 3, 0.5), (LOWER, 0, -0.5)], ids=["higher", "lower"]
+)
+def test_direction_follows_better(metric, change_wins, gain):
+    # every change value is the parent's plus 1
+    entry = summarize(metric, [1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
+    assert entry["change_wins"] == change_wins
+    assert entry["parent_wins"] == 3 - change_wins
+    assert entry["median_gain"] == pytest.approx(gain)
+    assert entry["parent"]["median"] == 2.0 and entry["change"]["median"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "metric, shift, exceeds",
+    [
+        (HIGHER, 2.5, True),
+        (HIGHER, 1.5, False),
+        (HIGHER, -2.5, False),
+        (LOWER, -2.5, True),
+        (LOWER, -1.5, False),
+        (LOWER, 2.5, False),
+    ],
+)
+def test_median_gap_exceeds_parent_iqr(metric, shift, exceeds):
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]  # inclusive quartiles 2 and 4: IQR 2
+    entry = summarize(metric, parent, [p + shift for p in parent])
+    assert entry["parent"]["iqr"] == 2.0
+    assert entry["median_gap_exceeds_parent_iqr"] is exceeds

@@ -10,6 +10,8 @@ from lwacomm.channel import (
     UserSet,
     build_channel,
 )
+from lwacomm import mimo
+from lwacomm.experiments import ScenarioConfig, sample_users
 from lwacomm.mimo import (
     MimoChannelTensor,
     UlaGeometry,
@@ -20,7 +22,7 @@ from lwacomm.mimo import (
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
-from oracles import simplex_grid_best_rate
+from oracles import reference_mimo_entries, simplex_grid_best_rate, svd_mimo_rate
 
 NOISE = NoiseModel(1.0)
 GRID = FrequencyGrid.subband_centers(200e9, 800e9, 4)
@@ -73,6 +75,17 @@ class TestBuildChannel:
         with pytest.raises(ValueError):
             build_mimo_channel(geometry, GRID, users)
 
+    @pytest.mark.parametrize(
+        "config",
+        [ScenarioConfig(), ScenarioConfig(num_subbands=256, num_users=32, mimo_elements=256)],
+        ids=["default", "wide-band"],
+    )
+    def test_entries_match_reference_bitwise(self, config):
+        users = sample_users(config, 0)
+        grid = config.frequency_grid()
+        tensor = build_mimo_channel(config.ula(), grid, users)
+        assert np.array_equal(tensor.entries, reference_mimo_entries(config.ula(), grid, users))
+
     def test_singular_values_match_frobenius(self):
         tensor = build_mimo_channel(ULA8, GRID, USERS)
         svals = np.linalg.svd(tensor.entries, compute_uv=False)
@@ -85,6 +98,10 @@ def lwa_channel():
     return build_channel(LwaConfig(1e-3, 20e-3), GRID, USERS, InverseRangeLoss())
 
 
+def effective(tensor):
+    return tensor.normalization_factor * tensor.entries
+
+
 class TestNormalization:
     def test_equal_max_is_identity(self):
         target = lwa_channel()
@@ -92,21 +109,22 @@ class TestNormalization:
         entries = np.full((2, 1, 1), lwa_max, dtype=complex)
         tensor = normalize_to_lwa(MimoChannelTensor(entries), target)
         assert tensor.normalization_factor == pytest.approx(1.0)
-        np.testing.assert_allclose(tensor.entries, entries)
+        np.testing.assert_allclose(effective(tensor), entries)
 
     def test_double_max_halves_entries(self):
         target = lwa_channel()
         lwa_max = np.max(np.abs(target.entries))
         entries = np.full((2, 1, 1), 2 * lwa_max, dtype=complex)
         tensor = normalize_to_lwa(MimoChannelTensor(entries), target)
-        np.testing.assert_allclose(np.abs(tensor.entries), lwa_max, rtol=1e-12)
+        assert tensor.entries is entries
+        np.testing.assert_allclose(np.abs(effective(tensor)), lwa_max, rtol=1e-12)
 
     def test_random_tensor_hits_target(self):
         rng = np.random.default_rng(9)
         target = lwa_channel()
         entries = rng.normal(size=(4, 2, 8)) + 1j * rng.normal(size=(4, 2, 8))
         tensor = normalize_to_lwa(MimoChannelTensor(entries), target)
-        assert np.max(np.abs(tensor.entries)) == pytest.approx(
+        assert np.max(np.abs(effective(tensor))) == pytest.approx(
             np.max(np.abs(target.entries)), rel=1e-12
         )
 
@@ -115,7 +133,7 @@ class TestNormalization:
         tensor = build_mimo_channel(ULA8, GRID, USERS)
         once = normalize_to_lwa(tensor, target)
         twice = normalize_to_lwa(once, target)
-        np.testing.assert_allclose(twice.entries, once.entries, rtol=1e-12)
+        np.testing.assert_allclose(effective(twice), effective(once), rtol=1e-12)
 
     def test_zero_channel_raises(self):
         target = lwa_channel()
@@ -184,3 +202,89 @@ class TestSumRate:
             if rates[1] >= rates[0] - 1e-12:
                 wins += 1
         assert wins >= int(0.9 * trials)
+
+
+def normalized_tensor(num_users, num_elements, seed=0):
+    """A compare-mimo tensor: 8 subbands, normalized to a fixed LWA channel."""
+    config = ScenarioConfig(num_subbands=8, num_users=num_users, mimo_elements=num_elements)
+    users = sample_users(config, seed)
+    grid = config.frequency_grid()
+    tensor = build_mimo_channel(config.ula(), grid, users)
+    return normalize_to_lwa(tensor, build_channel(LwaConfig(1e-3, 14e-3), grid, users, InverseRangeLoss()))
+
+
+def snr_budget(tensor, snr_db):
+    return 10.0 ** (snr_db / 10.0) * tensor.entries.shape[0] * NOISE.variance_sigma2
+
+
+def oracle_rate(tensor, budget):
+    return svd_mimo_rate(MimoChannelTensor(effective(tensor)), budget, NOISE)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the np.linalg.svd calls made after the fixture is set up."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+# K < M, K = M, K > M, and a larger K < M
+SHAPES = [(2, 8), (8, 8), (12, 4), (16, 64)]
+
+
+class TestGramRate:
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matches_svd_oracle(self, shape, svd_calls):
+        for seed in (0, 1):
+            tensor = normalized_tensor(*shape, seed)
+            for snr_db in range(-10, 61, 10):
+                budget = snr_budget(tensor, snr_db)
+                want = oracle_rate(tensor, budget)
+                del svd_calls[:]
+                got = mimo_sum_rate(tensor, budget, NOISE)
+                assert svd_calls == [], f"the SVD fallback ran at {snr_db} dB"
+                assert math.isclose(got, want, rel_tol=1e-12), (seed, snr_db, got, want)
+
+    @pytest.mark.parametrize("snr_db", [100.0, 200.0])
+    @pytest.mark.parametrize("shape", SHAPES[1:], ids=str)
+    def test_fallback_at_high_snr(self, shape, snr_db, svd_calls):
+        tensor = normalized_tensor(*shape)
+        budget = snr_budget(tensor, snr_db)
+        want = oracle_rate(tensor, budget)
+        del svd_calls[:]
+        got = mimo_sum_rate(tensor, budget, NOISE)
+        K, M = shape
+        assert svd_calls == [(8, max(K, M), min(K, M))]  # tall orientation
+        assert math.isclose(got, want, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (12, 4)], ids=str)
+    def test_all_zero_subband_block(self, shape, monkeypatch):
+        tensor = normalized_tensor(*shape)
+        K, M = shape
+        monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", 2 * K * M)  # 2 subbands a block
+        entries = tensor.entries.copy()
+        entries[2:4] = 0.0
+        tensor = MimoChannelTensor(entries, tensor.normalization_factor)
+        for snr_db in (-10.0, 30.0):
+            budget = snr_budget(tensor, snr_db)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                got = mimo_sum_rate(tensor, budget, NOISE)
+            assert math.isclose(got, oracle_rate(tensor, budget), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("magnitude", [1e-170, 1e170])
+    def test_gram_of_extreme_entries(self, magnitude):
+        # the Gram of these entries would underflow or overflow unscaled
+        tensor = normalized_tensor(8, 8)
+        budget = snr_budget(tensor, 20.0)
+        want = mimo_sum_rate(tensor, budget, NOISE)
+        moved = MimoChannelTensor(tensor.entries * magnitude, tensor.normalization_factor / magnitude)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = mimo_sum_rate(moved, budget, NOISE)
+        assert math.isclose(got, want, rel_tol=1e-12)

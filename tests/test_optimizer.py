@@ -167,6 +167,18 @@ class TestGridSearch:
         assert (i, j) == (0, 0)
         assert rate == 0.0
 
+    def test_gains_near_1e300_are_ranked(self):
+        # log2(1 + x) is exactly 0 for both geometries; log1p tells them apart
+        grids = SearchGrids(np.array([1e-3]), np.array([10e-3, 20e-3]))
+        gains = np.array([[[1e-300, 2e-300, 1e-300], [2e-300, 2e-300, 3e-300]]])
+        powers = PowerAllocation.uniform(3, 3.0)
+        i, j, rate = grid_search_geometry(grids, powers, gains, NOISE)
+        assert (i, j) == (0, 1)
+        assert math.isclose(rate, 7e-300 / 3 / math.log(2.0), rel_tol=1e-12)
+        result = alternate_optimize(grids, gains, 3.0, NOISE)
+        assert result.chosen_L == 20e-3
+        assert math.isclose(result.sum_rate, 9e-300 / 3 / math.log(2.0), rel_tol=1e-12)
+
     def test_argmax_invariant_under_common_gain_scaling(self):
         grid, users = make_draw(n_sub=6)
         grids = bounded_grids(4, 4)
