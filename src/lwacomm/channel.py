@@ -99,7 +99,8 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """N x K complex gains; row n is the nth subband channel vector.
+    """N x K gains; row n is the nth subband channel vector. The gains are
+    real for a lossless LWA (leakage_alpha = 0) and complex otherwise.
 
     subcutoff_subbands lists the subband indices whose frequency fell below
     the waveguide cutoff; their rows are zero rather than an error so the
@@ -124,6 +125,8 @@ def build_channel(
     """Assemble the N x K channel: entry (n,k) = G(phi_k, f_n) * Gamma(rho_k, f_n).
 
     Sub-cutoff subbands get zero gain and are reported in subcutoff_subbands.
+    The entries have the dtype of diffraction_gain_grid: real when
+    leakage_alpha is 0.
     """
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])

@@ -23,8 +23,8 @@ from .physics import SPEED_OF_LIGHT
 # r * eps * lambda_max, so only those at or above r * eps / GRAM_RTOL times
 # the subband's largest are resolved; the rest are treated as 0.
 GRAM_RTOL = 1e-9
-# Subband matrices per Gram block: bounds the scaled and conjugated copies
-# that exist at one time to about this many complex entries each.
+# Subband matrices per block: bounds the magnitudes, scaled and conjugated
+# copies that exist at one time to about this many entries each.
 GRAM_BLOCK_ENTRIES = 2**15
 
 
@@ -96,12 +96,21 @@ def build_mimo_channel(
     return MimoChannelTensor(entries, 1.0)
 
 
+def _subband_blocks(entries: np.ndarray) -> list:
+    """Slices of whole subbands holding about GRAM_BLOCK_ENTRIES entries each."""
+    n, K, M = entries.shape
+    step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def normalize_to_lwa(
     tensor: MimoChannelTensor, lwa_channel: ChannelMatrix
 ) -> MimoChannelTensor:
     """Set the normalization so the channel's max tap magnitude matches the
     LWA channel's. The entries are shared, not copied."""
-    mimo_max = tensor.normalization_factor * float(np.max(np.abs(tensor.entries)))
+    entries = tensor.entries
+    peak = np.max([np.abs(entries[block]).max() for block in _subband_blocks(entries)])
+    mimo_max = tensor.normalization_factor * float(peak)
     lwa_max = float(np.max(np.abs(lwa_channel.entries)))
     if mimo_max == 0.0 or lwa_max == 0.0:
         raise ZeroChannel("cannot normalize a channel with all-zero entries")
@@ -117,17 +126,16 @@ def _gram_eigenvalues(entries: np.ndarray, scale: float) -> np.ndarray:
     is put back on the eigenvalues.
     """
     n, K, M = entries.shape
-    step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
     eigs = np.empty((n, min(K, M)))
-    for start in range(0, n, step):
-        block = np.ascontiguousarray(entries[start : start + step])
+    for subbands in _subband_blocks(entries):
+        block = np.ascontiguousarray(entries[subbands])
         peak = np.abs(block.view(float)).max(axis=(1, 2))
         inv_peak = np.divide(1.0, peak, out=np.zeros_like(peak), where=peak > 0)
         wide = block * inv_peak[:, None, None]
         if K > M:
             wide = wide.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
         gram = wide @ wide.conj().swapaxes(-1, -2)
-        eigs[start : start + step] = np.linalg.eigvalsh(gram) * np.square(scale * peak)[:, None]
+        eigs[subbands] = np.linalg.eigvalsh(gram) * np.square(scale * peak)[:, None]
     return eigs
 
 

@@ -34,7 +34,8 @@ class LwaConfig:
 
     leakage_alpha is the per-meter attenuation of the guided wave due to
     leakage out of the slit; it is negligible in practice and defaults to 0,
-    but a nonzero value exercises the complex branch of the gain.
+    where the gain is real and evaluated in float64; a nonzero value makes
+    the sinc argument, and so the gain, complex.
     slit_length_L may be a (J, 1, 1) array of slit lengths, for which
     diffraction_gain_grid returns one gain grid per slit.
     """
@@ -89,18 +90,29 @@ def beam_peak_frequency(config: LwaConfig, angle: float) -> float:
 
 
 def _sinc(z: np.ndarray) -> np.ndarray:
-    """Unnormalized sinc sin(z)/z for complex z, sinc(0) = 1.
+    """Unnormalized sinc sin(z)/z, sinc(0) = 1, in z's dtype (real or complex).
 
-    Near zero a 4th-order series keeps the peak numerically exact.
+    Near zero a 4th-order series keeps the peak numerically exact. For real
+    z, sin(z) is multiplied by 1/z: that is how numpy rounds a complex
+    division by a number whose imaginary part is 0.
     """
-    z = np.asarray(z, dtype=complex)
+    z = np.asarray(z)
     small = np.abs(z) < _SINC_SERIES_CUTOFF
     safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0 - z * z / 6.0 + z ** 4 / 120.0, np.sin(safe) / safe)
+    if np.iscomplexobj(z):
+        out = np.sin(safe) / safe
+    else:
+        out = np.sin(safe)
+        out *= np.divide(1.0, safe, out=safe)
+    if small.any():
+        z_small = z[small]
+        z2 = z_small * z_small
+        out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+    return out
 
 
 def diffraction_gain(config: LwaConfig, angle: float, frequency: float) -> complex:
-    """Complex slit diffraction gain sinc[(beta - j*alpha - k0*cos(angle)) L/2].
+    """Slit diffraction gain sinc[(beta - j*alpha - k0*cos(angle)) L/2].
 
     beta = k0*sqrt(1 - (c/(2bf))^2) is the guided-mode phase constant and
     k0 = 2*pi*f/c the free-space wavenumber. With alpha = 0 the gain is real,
@@ -119,9 +131,10 @@ def diffraction_gain_grid(
 ) -> np.ndarray:
     """Diffraction gain on the outer grid of `frequencies` x `angles`.
 
-    Returns a complex array of shape (len(frequencies), len(angles)), or
+    Returns an array of shape (len(frequencies), len(angles)), or
     (J, len(frequencies), len(angles)) when slit_length_L is a (J, 1, 1)
-    array. Below the cutoff c/(2b) the guided mode is evanescent and
+    array. It is real (float64) when leakage_alpha is 0 and complex
+    otherwise. Below the cutoff c/(2b) the guided mode is evanescent and
     radiates nothing: those frequencies get a gain of exactly 0.
     """
     angles = np.asarray(angles, dtype=float)
@@ -132,8 +145,9 @@ def diffraction_gain_grid(
     ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
     k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
     beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
-    z = (
-        (beta - 1j * config.leakage_alpha)[:, None]
-        - k0[:, None] * np.cos(angles)[None, :]
-    ) * (config.slit_length_L / 2.0)
-    return np.where(valid[:, None], _sinc(z), 0.0)
+    if config.leakage_alpha:
+        beta = beta - 1j * config.leakage_alpha
+    z = (beta[:, None] - k0[:, None] * np.cos(angles)[None, :]) * (config.slit_length_L / 2.0)
+    gain = _sinc(z)
+    gain[..., ~valid, :] = 0.0
+    return gain

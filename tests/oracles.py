@@ -7,8 +7,9 @@ considered; the DP only reorders the enumeration), waterfilling solved in
 exact rational arithmetic, a brute-force replay of the alternating
 optimizer's stated updates that never calls the optimizer's own grid
 search or loop, the straightforward per-entry beampattern CSV writer, the
-MIMO rate from a full SVD of every subband matrix, and the MIMO tensor
-from one broadcast expression.
+MIMO rate from a full SVD of every subband matrix, the MIMO tensor from
+one broadcast expression, and the diffraction gain grid evaluated in
+complex arithmetic throughout.
 """
 
 import math
@@ -180,3 +181,28 @@ def reference_mimo_entries(geometry, grid, users) -> np.ndarray:
     freqs = grid.frequencies
     phase = np.exp(-2j * np.pi * freqs[:, None, None] * dist[None, :, :] / SPEED_OF_LIGHT)
     return phase / dist[None, :, :]
+
+
+def _reference_sinc(z: np.ndarray) -> np.ndarray:
+    """Unnormalized sinc sin(z)/z for complex z, sinc(0) = 1."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-6
+    safe = np.where(small, 1.0, z)
+    return np.where(small, 1.0 - z * z / 6.0 + z ** 4 / 120.0, np.sin(safe) / safe)
+
+
+def reference_diffraction_gain_grid(config, angles, frequencies) -> np.ndarray:
+    """The diffraction gain grid with the sinc argument always complex."""
+    angles = np.asarray(angles, dtype=float)
+    frequencies = np.asarray(frequencies, dtype=float)
+    if np.any(frequencies <= 0):
+        raise ValueError("frequencies must be > 0")
+    valid = frequencies >= config.cutoff_frequency
+    ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
+    k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
+    beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
+    z = (
+        (beta - 1j * config.leakage_alpha)[:, None]
+        - k0[:, None] * np.cos(angles)[None, :]
+    ) * (config.slit_length_L / 2.0)
+    return np.where(valid[:, None], _reference_sinc(z), 0.0)
