@@ -7,7 +7,9 @@ never exceeds the grid-global best, and that best is itself a fixed point;
 its PASS line reports how many scenarios stop below the grid-global best.
 Criterion 7 is kept as stated and fails on the normalized M = 8 baseline
 at low SNR; whether its factor-10 bound or the baseline's normalization is
-wrong cannot be settled without the paper's full text (see README.md).
+wrong cannot be settled without the paper's full text (see README.md). The
+test after it pins down why: as SNR -> 0 the ratio mimo/lwa tends to
+max sigma_1^2(H_n) / max ||h_n||^2, which it prints per trial.
 """
 
 import math
@@ -24,13 +26,17 @@ from lwacomm.channel import (
 )
 from lwacomm.experiments import (
     ScenarioConfig,
+    _snr_budget,
     optimize_scenario,
+    paired_rates,
     run_snr_sweep,
     sample_users,
 )
 from lwacomm.mimo import (
     MimoChannelTensor,
+    build_mimo_channel,
     mimo_sum_rate,
+    normalize_to_lwa,
 )
 from lwacomm.optimizer import waterfill
 from lwacomm.physics import (
@@ -214,6 +220,31 @@ def test_criterion_7_sum_rate_comparison_shape():
         "single-element link, which exceeds 10x at the low-SNR points."
     )
     report(7, f"(both curves increasing, ratios {[round(r, 2) for r in ratios]})")
+
+
+def test_criterion_7_low_snr_ratio_limit():
+    # As SNR -> 0 both waterfills put the whole budget on their single best
+    # channel, so mimo/lwa -> max_n sigma_1^2(H_n) / max_n ||h_n||^2, with the
+    # normalized MIMO tensor and the LWA geometry chosen at that SNR.
+    cfg = ScenarioConfig()
+    budget = _snr_budget(cfg, -80.0)
+    grid = cfg.frequency_grid()
+    limits = []
+    for trial in range(5):
+        lwa_rate, mimo_rate, result = paired_rates(cfg, trial, budget)
+        users = sample_users(cfg, trial)
+        lwa = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
+        tensor = normalize_to_lwa(build_mimo_channel(cfg.ula(), grid, users), lwa)
+        channel = tensor.normalization_factor * tensor.entries
+        sigma1 = np.linalg.svd(channel, compute_uv=False)[:, 0]
+        limit = float(np.max(sigma1 ** 2) / np.max(lwa.gains_squared))
+        assert mimo_rate / lwa_rate == pytest.approx(limit, rel=1e-6), trial
+        limits.append(limit)
+    print(
+        "criterion 7 low-SNR limit: mimo/lwa at -80 dB matches "
+        "max sigma_1^2 / max ||h_n||^2 to rel 1e-6 on default trials 0-4; limits "
+        f"{[round(x, 4) for x in limits]}"
+    )
 
 
 def test_criterion_8_mimo_oracle_equivalence():

@@ -135,6 +135,25 @@ class TestNormalization:
         twice = normalize_to_lwa(once, target)
         np.testing.assert_allclose(effective(twice), effective(once), rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "block_entries, shape",
+        [(None, (40, 32, 256)), (3 * 2 * 8, (10, 2, 8))],
+        ids=["default-blocks", "3-subband-blocks"],
+    )
+    def test_blockwise_peak_matches_full_max(self, block_entries, shape, monkeypatch):
+        if block_entries is not None:
+            monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(11)
+        entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        entries[-1, 1, 5] = 7.0 - 6.0j  # the largest tap, in the last block
+        blocks = mimo._subband_blocks(entries)
+        assert len(blocks) >= 4 and blocks[-1].start <= shape[0] - 1 < blocks[-1].stop
+        target = lwa_channel()
+        tensor = normalize_to_lwa(MimoChannelTensor(entries, 0.3), target)
+        lwa_max = float(np.max(np.abs(target.entries)))
+        want = 0.3 * (lwa_max / (0.3 * float(np.max(np.abs(entries)))))
+        assert tensor.normalization_factor == want
+
     def test_zero_channel_raises(self):
         target = lwa_channel()
         with pytest.raises(ZeroChannel):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lwacomm import physics
 from lwacomm.physics import (
     SPEED_OF_LIGHT,
     CutoffViolation,
@@ -14,7 +15,7 @@ from lwacomm.physics import (
     emission_angle,
 )
 
-from oracles import hp_diffraction_gain, hp_emission_angle
+from oracles import hp_diffraction_gain, hp_emission_angle, reference_diffraction_gain_grid
 
 B1MM = LwaConfig(plate_separation_b=1e-3, slit_length_L=10e-3)
 
@@ -154,6 +155,91 @@ class TestCutoffContract:
         # at cutoff the emission angle is broadside, where the gain peaks at 1
         assert grid[0, 1] == pytest.approx(1.0, abs=1e-12)
         assert scalar == grid[0, 1]
+
+
+B_AT_ROUNDING_CUTOFF = 0.0005375138883100129  # c/(2 b f) at its cutoff rounds to 1 + 2^-52
+BAND = np.linspace(200e9, 800e9, 40)
+ANGLES = np.linspace(0.01, math.pi / 2, 37)
+
+
+def _peak_angles(config, freqs, offsets=(0.0, 1e-9, -1e-8, 1e-7)):
+    """Angles at and next to each frequency's emission angle, where |z| is
+    below the sinc's series cutoff."""
+    return np.array([emission_angle(config, f) + d for f in freqs for d in offsets])
+
+
+def _slit_column(*slits):
+    return np.array(slits)[:, None, None]
+
+
+REFERENCE_CASES = {
+    "lossless": (B1MM, ANGLES, BAND),
+    "lossy": (LwaConfig(1e-3, 10e-3, leakage_alpha=50.0), ANGLES, BAND),
+    "slit-column": (LwaConfig(1e-3, _slit_column(10e-3, 23e-3, 50e-3)), ANGLES, BAND),
+    "lossy-slit-column": (
+        LwaConfig(1e-3, _slit_column(10e-3, 50e-3), leakage_alpha=3.0), ANGLES, BAND
+    ),
+    "sub-cutoff": (
+        LwaConfig(1e-3, _slit_column(10e-3, 40e-3)),
+        ANGLES,
+        np.array([100e9, np.nextafter(B1MM.cutoff_frequency, 0.0), B1MM.cutoff_frequency, 300e9]),
+    ),
+    "rounding-cutoff": (
+        LwaConfig(B_AT_ROUNDING_CUTOFF, 10e-3),
+        np.array([0.5, 1.2, math.pi / 2]),
+        np.array([LwaConfig(B_AT_ROUNDING_CUTOFF, 10e-3).cutoff_frequency, 400e9]),
+    ),
+    "series": (
+        LwaConfig(1e-3, _slit_column(10e-3, 50e-3)),
+        _peak_angles(B1MM, [210e9, 300e9, 610e9]),
+        np.array([210e9, 300e9, 610e9]),
+    ),
+    "lossy-series": (
+        LwaConfig(1e-3, 10e-3, leakage_alpha=1e-5),  # alpha * L / 2 = 5e-8
+        _peak_angles(B1MM, [300e9, 610e9]),
+        np.array([300e9, 610e9]),
+    ),
+}
+
+
+class TestRealGain:
+    """The lossless gain is evaluated in float64 and equals, bitwise, the
+    real part of the same grid evaluated in complex arithmetic."""
+
+    @pytest.mark.parametrize("name", list(REFERENCE_CASES))
+    def test_matches_complex_reference_bitwise(self, name):
+        config, angles, freqs = REFERENCE_CASES[name]
+        got = diffraction_gain_grid(config, angles, freqs)
+        want = reference_diffraction_gain_grid(config, angles, freqs)
+        if config.leakage_alpha == 0.0:
+            assert got.dtype == np.float64
+            assert np.all(want.imag == 0.0)
+        else:
+            assert got.dtype == np.complex128
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["series", "lossy-series"])
+    def test_series_cases_reach_the_series_branch(self, name, monkeypatch):
+        smallest = []
+        sinc = physics._sinc
+        monkeypatch.setattr(
+            physics, "_sinc", lambda z: smallest.append(np.abs(z).min()) or sinc(z)
+        )
+        config, angles, freqs = REFERENCE_CASES[name]
+        diffraction_gain_grid(config, angles, freqs)
+        assert smallest[0] < physics._SINC_SERIES_CUTOFF
+
+    def test_random_geometries_match_complex_reference(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            slits = _slit_column(*rng.uniform(5e-3, 60e-3, 5))
+            config = LwaConfig(rng.uniform(0.2e-3, 2e-3), slits)
+            freqs = np.sort(rng.uniform(150e9, 800e9, 30))
+            angles = rng.uniform(0.0, math.pi / 2, 20)
+            got = diffraction_gain_grid(config, angles, freqs)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, reference_diffraction_gain_grid(config, angles, freqs))
 
 
 class TestBeamPeakFrequency:
