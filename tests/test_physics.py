@@ -163,8 +163,8 @@ ANGLES = np.linspace(0.01, math.pi / 2, 37)
 
 
 def _peak_angles(config, freqs, offsets=(0.0, 1e-9, -1e-8, 1e-7)):
-    """Angles at and next to each frequency's emission angle, where |z| is
-    below the sinc's series cutoff."""
+    """Angles at and next to each frequency's emission angle, where |z| lies
+    below or just above the sinc's series cutoff."""
     return np.array([emission_angle(config, f) + d for f in freqs for d in offsets])
 
 
