@@ -18,7 +18,7 @@ from .channel import (
     average_sum_rate,
     beampattern,
     build_channel,
-    subband_rate,
+    rate_bits,
 )
 from .optimizer import (
     AllGainsZero,

@@ -1,8 +1,8 @@
 """Multi-user wideband channel built on the LWA physics.
 
 The entry for subband n and user k is the diffraction gain at the user's
-angle times a path-loss coefficient at the user's range. Rates use base-2
-logs (bits per channel use).
+angle times a path-loss coefficient at the user's range. Every rate is taken
+by rate_bits, with base-2 logs (bits per channel use).
 """
 
 from __future__ import annotations
@@ -157,24 +157,30 @@ def geometry_gains_squared(
     return np.stack([np.sum(np.abs(row * gamma) ** 2, axis=-1) for row in rows])
 
 
-def subband_rate(h_n: np.ndarray, power: float, noise: NoiseModel) -> float:
-    """Single-subband sum rate log2(1 + P/sigma^2 * ||h_n||^2), in bits."""
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    gain2 = float(np.sum(np.abs(np.asarray(h_n)) ** 2))
-    return math.log1p(power / noise.variance_sigma2 * gain2) / math.log(2.0)
+def rate_bits(powers, gains2, noise: NoiseModel, num_subbands: int) -> float:
+    """Sum of log2(1 + P/sigma^2 * g) over the modes, over num_subbands, in
+    bits per channel use. Every rate in the package is taken here, as
+    log1p/ln 2 so that an SNR below eps still counts. Raises
+    FloatingPointError if the rate is not finite."""
+    snr = powers / noise.variance_sigma2 * gains2
+    rate = math.fsum(np.log1p(snr)) / math.log(2.0) / num_subbands
+    if not math.isfinite(rate):
+        raise FloatingPointError(f"the sum rate is not finite: {rate}")
+    return rate
 
 
 def average_sum_rate(channel: ChannelMatrix, powers, noise: NoiseModel) -> float:
-    """Mean over subbands of subband_rate, in bits per channel use."""
+    """Mean over subbands of log2(1 + P_n/sigma^2 * ||h_n||^2), in bits per
+    channel use. Powers must be >= 0."""
     powers = np.asarray(powers, dtype=float)
     gains2 = channel.gains_squared
     if powers.shape != gains2.shape:
         raise ValueError(
             f"power vector length {powers.size} != subband count {gains2.size}"
         )
-    rates = np.log1p(powers / noise.variance_sigma2 * gains2)
-    return float(math.fsum(rates) / math.log(2.0) / gains2.size)
+    if np.any(powers < 0):
+        raise ValueError("powers must be >= 0")
+    return rate_bits(powers, gains2, noise, gains2.size)
 
 
 def beampattern(
@@ -199,6 +205,8 @@ def beampattern(
         raise ValueError("power vector length must match subband count")
     if angle_grid.size == 0 or range_grid.size == 0:
         raise ValueError("angle and range grids must be non-empty")
+    if np.any(range_grid <= 0):
+        raise ValueError("ranges must be positive")
 
     freqs = grid.frequencies
     gains2 = np.abs(diffraction_gain_grid(config, angle_grid, freqs)) ** 2

@@ -24,6 +24,7 @@ from .experiments import (
     run_beampattern_experiment,
     run_snr_sweep,
     sample_users,
+    write_allocation,
 )
 from .mimo import ZeroChannel
 from .optimizer import AllGainsZero
@@ -39,7 +40,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="scenario config file (key=value lines)")
     parser.add_argument("--seed", type=int, help="override the scenario seed")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--trials", type=int, help="override the trial count")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout summary")
 
 
@@ -57,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         _add_common(p)
         if name == "sweep-snr":
+            p.add_argument("--trials", type=int, help="override the trial count")
             p.add_argument(
                 "--snr-db",
                 type=float,
@@ -69,22 +70,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    return replace(config, **overrides) if overrides else config
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _cmd_optimize(args, config: ScenarioConfig) -> None:
     users = sample_users(config, 0)
     result = optimize_scenario(config, users)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "allocation.txt"), "w") as fh:
-        fh.write(result.report_text())
-    with open(os.path.join(args.out, "trace.csv"), "w", newline="") as fh:
-        fh.write(result.trace_csv())
+    write_allocation(result, args.out)
     if not args.quiet:
         print(
             f"optimized b={result.chosen_b * 1e3:.4f} mm "
@@ -103,6 +96,8 @@ def _cmd_beampattern(args, config: ScenarioConfig) -> None:
 
 
 def _cmd_sweep(args, config: ScenarioConfig) -> None:
+    if args.trials is not None:
+        config = replace(config, trials=args.trials)
     sweep = run_snr_sweep(config, args.snr_db)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")

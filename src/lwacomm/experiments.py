@@ -208,11 +208,10 @@ def run_beampattern_experiment(
     out_dir,
     angle_step_deg: float = 0.25,
     range_step_m: float = 0.25,
-    trial: int = 0,
 ) -> AllocationResult:
-    """Optimize one user draw and export the energy map plus the user
+    """Optimize trial 0's user draw and export the energy map plus the user
     positions and the allocation report/trace."""
-    users = sample_users(config, trial)
+    users = sample_users(config, 0)
     result = optimize_scenario(config, users)
 
     angle_grid = np.radians(
@@ -236,11 +235,16 @@ def run_beampattern_experiment(
         fh.write("angle_deg,range_m\n")
         for ang, rng in zip(users.angles_rad, users.ranges_m):
             fh.write(f"{math.degrees(ang):.9g},{rng:.9g}\n")
+    write_allocation(result, out_dir)
+    return result
+
+
+def write_allocation(result: AllocationResult, out_dir) -> None:
+    """Write the report to allocation.txt and the trace to trace.csv in out_dir."""
     with open(os.path.join(out_dir, "allocation.txt"), "w") as fh:
         fh.write(result.report_text())
     with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
         fh.write(result.trace_csv())
-    return result
 
 
 @dataclass(frozen=True)

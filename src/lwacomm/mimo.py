@@ -9,12 +9,11 @@ frequency bins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, FrequencyGrid, NoiseModel, UserSet
+from .channel import ChannelMatrix, FrequencyGrid, NoiseModel, UserSet, rate_bits
 from .optimizer import waterfill
 from .physics import SPEED_OF_LIGHT
 
@@ -142,8 +141,7 @@ def _gram_eigenvalues(entries: np.ndarray, scale: float) -> np.ndarray:
 def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):
     """Waterfill the pool; return the allocation and the mean rate over N."""
     alloc = waterfill(pooled.ravel(), budget_P, noise)
-    x = alloc.powers * pooled.ravel() / noise.variance_sigma2
-    return alloc, math.fsum(np.log1p(x)) / math.log(2.0) / pooled.shape[0]
+    return alloc, rate_bits(alloc.powers, pooled.ravel(), noise, pooled.shape[0])
 
 
 def mimo_sum_rate(
@@ -154,8 +152,8 @@ def mimo_sum_rate(
     Pools the squared singular values of every subband matrix H_n of the
     channel normalization_factor * entries as parallel channels,
     waterfills the budget across the pool, and averages the resulting rates
-    over the N subbands. Raises FloatingPointError if the rate is not
-    finite.
+    over the N subbands (channel.rate_bits, which raises FloatingPointError
+    if the rate is not finite).
 
     The squared singular values are taken as the eigenvalues of the r x r
     Gram matrix of H_n on its short side (r = min(K, M)). Those below
@@ -184,6 +182,4 @@ def mimo_sum_rate(
         tall = entries if K > M else entries.swapaxes(-1, -2)
         svals = np.linalg.svd(tall, compute_uv=False)
         _, rate = _pooled_rate(np.square(factor * svals), budget_P, noise)
-    if not math.isfinite(rate):
-        raise FloatingPointError(f"the MIMO rate is not finite: {rate}")
     return rate

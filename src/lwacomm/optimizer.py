@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel
+from .channel import NoiseModel, rate_bits
 
 BUDGET_RTOL = 1e-9  # rounding allowance on sum(powers) <= budget
 
@@ -155,17 +155,17 @@ def grid_search_geometry(
     """Exhaustive argmax of the average sum-rate over the (b, L) grid.
 
     gains[i, j] holds ||h_n||^2 of geometry (grids.b_grid[i],
-    grids.L_grid[j]). Returns the indices (i, j) of the best geometry and
-    its rate. Ties break to the smallest b, then smallest L (the first
-    maximum in b-major order), so the result is deterministic.
+    grids.L_grid[j]). Returns the indices (i, j) of the best geometry. Ties
+    break to the smallest b, then smallest L (the first maximum in b-major
+    order), so the result is deterministic.
     """
     if gains.shape[:2] != (grids.b_grid.size, grids.L_grid.size):
         raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
-    # log1p keeps the rates of per-subband SNRs below eps apart; the
-    # division by ln 2 does not change the ranking
-    rates = np.log1p(fixed_powers.powers / noise.variance_sigma2 * gains).sum(axis=-1)
-    i, j = np.unravel_index(np.argmax(rates), rates.shape)
-    return int(i), int(j), float(rates[i, j] / math.log(2.0) / gains.shape[-1])
+    # ranking key: the rate times N ln 2, with log1p keeping per-subband
+    # SNRs below eps apart
+    key = np.log1p(fixed_powers.powers / noise.variance_sigma2 * gains).sum(axis=-1)
+    i, j = np.unravel_index(np.argmax(key), key.shape)
+    return int(i), int(j)
 
 
 def alternate_optimize(
@@ -182,7 +182,7 @@ def alternate_optimize(
     geometry step returns the same (i, j) twice in a row, or after i_max
     iterations. Waterfilling is a pure function of gains[i, j], so a
     repeated geometry repeats the powers too. Raises FloatingPointError if a
-    rate or power is not finite (for example an infinite gain).
+    rate is not finite (for example from an infinite gain).
     """
     if i_max < 1:
         raise ValueError("i_max must be >= 1")
@@ -193,10 +193,9 @@ def alternate_optimize(
     prev = None
     stop_reason = "i_max"
     for it in range(1, i_max + 1):
-        i, j, _ = grid_search_geometry(grids, alloc, gains, noise)
+        i, j = grid_search_geometry(grids, alloc, gains, noise)
         alloc = waterfill(gains[i, j], budget_P, noise)
-        rates = np.log1p(alloc.powers / noise.variance_sigma2 * gains[i, j])
-        rate = math.fsum(rates) / math.log(2.0) / n
+        rate = rate_bits(alloc.powers, gains[i, j], noise, n)
         trace.append(TraceRecord(it, float(grids.b_grid[i]), float(grids.L_grid[j]), rate))
         if prev == (i, j):
             stop_reason = "fixed_point"
@@ -204,7 +203,4 @@ def alternate_optimize(
         prev = (i, j)
 
     last = trace[-1]
-    rates_bits = [rec.rate_bits for rec in trace]
-    if not (np.isfinite(rates_bits).all() and np.isfinite(alloc.powers).all()):
-        raise FloatingPointError("the optimization produced a non-finite rate or power")
     return AllocationResult(last.b_m, last.L_m, alloc, last.rate_bits, tuple(trace), stop_reason)

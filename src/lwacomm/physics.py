@@ -5,8 +5,7 @@ through a slit of length L. Each frequency component is radiated at its own
 azimuth angle (the "THz rainbow"), with a sinc-shaped diffraction pattern
 whose width shrinks as the slit grows.
 
-All functions here are pure; configs are frozen dataclasses and safe to
-share across workers.
+All functions here are pure, and configs are frozen dataclasses.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,27 @@ def test_median_gap_exceeds_parent_iqr(metric, shift, exceeds):
     entry = summarize(metric, parent, [p + shift for p in parent])
     assert entry["parent"]["iqr"] == 2.0
     assert entry["median_gap_exceeds_parent_iqr"] is exceeds
+
+
+def stub_run(monkeypatch, correct):
+    line = {"correct": correct, "attempted": 5, "failed": 0 if correct else 2,
+            "metrics": {"ops_per_s": {"value": 3.0}}}
+
+    def run(cmd, **kwargs):
+        stdout = "ops: 5\n" + json.dumps(line) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="check failed: op 3\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+
+
+def test_run_once_reads_a_correct_run(monkeypatch, tmp_path):
+    stub_run(monkeypatch, correct=True)
+    run = bench_pairs.run_once(tmp_path, "optimize-default", 1, 1.0)
+    assert run == {"correct": True, "attempted": 5, "failed": 0, "metrics": {"ops_per_s": 3.0}}
+
+
+def test_run_once_rejects_an_incorrect_run(monkeypatch, tmp_path):
+    # run.py exits 0 when checks fail; its JSON line says "correct": false
+    stub_run(monkeypatch, correct=False)
+    with pytest.raises(RuntimeError, match="2 of 5 ops failed"):
+        bench_pairs.run_once(tmp_path, "optimize-default", 1, 1.0)

@@ -17,7 +17,7 @@ from lwacomm.channel import (
     export_beampattern_csv,
     frequency_bins_near_angle,
     geometry_gains_squared,
-    subband_rate,
+    rate_bits,
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, emission_angle
 
@@ -104,19 +104,33 @@ class TestBuildChannel:
 
 
 class TestRates:
+    @staticmethod
+    def _one_subband(h):
+        return ChannelMatrix(np.asarray(h)[None, :])
+
     def test_unit_everything_is_one_bit(self):
-        assert subband_rate(np.array([1.0]), 1.0, NOISE) == pytest.approx(1.0)
+        channel = self._one_subband([1.0])
+        assert average_sum_rate(channel, [1.0], NOISE) == pytest.approx(1.0)
 
     def test_zero_power_is_zero(self):
-        assert subband_rate(np.array([0.3, 0.5j]), 0.0, NOISE) == 0.0
+        channel = self._one_subband([0.3, 0.5j])
+        assert average_sum_rate(channel, [0.0], NOISE) == 0.0
 
     def test_gain_three_is_two_bits(self):
-        h = np.array([1.0, 1.0, 1.0])  # ||h||^2 = 3
-        assert subband_rate(h, 1.0, NOISE) == pytest.approx(2.0)
+        channel = self._one_subband([1.0, 1.0, 1.0])  # ||h||^2 = 3
+        assert average_sum_rate(channel, [1.0], NOISE) == pytest.approx(2.0)
 
     def test_negative_power_rejected(self):
-        with pytest.raises(ValueError):
-            subband_rate(np.array([1.0]), -0.1, NOISE)
+        # -0.5 on a unit gain used to give -1 bit, and -2.0 a nan
+        for power in (-0.1, -0.5, -2.0):
+            with pytest.raises(ValueError):
+                average_sum_rate(self._one_subband([1.0]), [power], NOISE)
+
+    def test_non_finite_rate_raises(self):
+        with pytest.raises(FloatingPointError):
+            rate_bits(np.array([1.0]), np.array([np.inf]), NOISE, 1)
+        with pytest.raises(FloatingPointError):
+            rate_bits(np.array([np.nan, 1.0]), np.array([1.0, 1.0]), NOISE, 2)
 
     def _channel(self, gains):
         # synthetic channel with prescribed per-subband ||h_n||^2
@@ -173,6 +187,13 @@ class TestBeampattern:
     CFG = LwaConfig(1e-3, 20e-3)
     ANGLES = np.radians(np.arange(1.0, 90.0, 1.0))
     RANGES = np.array([5.0, 10.0, 20.0])
+
+    @pytest.mark.parametrize("bad_range", [-10.0, 0.0])
+    def test_non_positive_range_rejected(self, bad_range):
+        # -10 m used to give the log-energy of +10 m, and 0 m a division by zero
+        ranges = np.array([5.0, bad_range])
+        with pytest.raises(ValueError, match="ranges"):
+            beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, self.ANGLES, ranges)
 
     def test_zero_power_hits_floor(self):
         m = beampattern(self.CFG, self.GRID, [0.0] * 4, LOSS, self.ANGLES, self.RANGES)

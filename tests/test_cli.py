@@ -163,3 +163,28 @@ def test_bad_snr_point_exits_2(tmp_path, capsys, snr_db):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "beampattern", "compare-mimo"])
+def test_trials_flag_only_on_sweep(tmp_path, capsys, command):
+    # these commands draw trial 0 only, so a trial count would have no effect
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--trials", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
+def test_sweep_trials_override_is_validated(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    args = ["sweep-snr", "--config", cfg, "--out", str(tmp_path / "sw"), "--trials", "0"]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_optimize_and_beampattern_write_the_same_allocation(tmp_path):
+    cfg = write_cfg(tmp_path)
+    for command in ("optimize", "beampattern"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command), "--quiet"]) == 0
+    for name in ("allocation.txt", "trace.csv"):
+        written = [(tmp_path / command / name).read_bytes() for command in ("optimize", "beampattern")]
+        assert written[0] == written[1]

@@ -20,6 +20,7 @@ from lwacomm.mimo import (
     mimo_sum_rate,
     normalize_to_lwa,
 )
+from lwacomm.optimizer import SearchGrids, alternate_optimize
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
 from oracles import reference_mimo_entries, simplex_grid_best_rate, svd_mimo_rate
@@ -195,6 +196,20 @@ class TestSumRate:
         tensor = MimoChannelTensor(np.full((1, 1, 1), 1e200, dtype=complex))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             mimo_sum_rate(tensor, 1.0, NOISE)
+
+    @pytest.mark.parametrize("sigma2", [1.0, 0.3])
+    def test_single_antenna_matches_lwa_rate(self, sigma2):
+        # K = M = 1: the MIMO pool is |h_n|^2, the gains of a one-point LWA
+        # grid, so both systems waterfill the same gains and take one rate
+        rng = np.random.default_rng(31)
+        noise = NoiseModel(sigma2)
+        grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
+        for _ in range(20):
+            h = rng.normal(size=16) + 1j * rng.normal(size=16)
+            budget = rng.uniform(0.5, 20.0)
+            mimo_rate = mimo_sum_rate(MimoChannelTensor(h[:, None, None]), budget, noise)
+            lwa = alternate_optimize(grids, (np.abs(h) ** 2)[None, None, :], budget, noise)
+            assert math.isclose(mimo_rate, lwa.sum_rate, rel_tol=1e-14)
 
     def test_monotone_in_elements_statistically(self):
         rng = np.random.default_rng(2024)

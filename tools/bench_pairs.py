@@ -63,6 +63,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}"
         )
     result = json.loads(lines[-1])
+    if not result["correct"]:
+        # run.py exits 0 even when an op check or the golden comparison fails
+        raise RuntimeError(
+            f"{' '.join(cmd)} in {checkout}: {result['failed']} of {result['attempted']} "
+            f"ops failed or the golden check failed:\n{proc.stderr}"
+        )
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
