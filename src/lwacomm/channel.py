@@ -158,8 +158,8 @@ def geometry_gains_squared(
 
 
 def rate_bits(powers, gains2, noise: NoiseModel, num_subbands: int) -> float:
-    """Sum of log2(1 + P/sigma^2 * g) over the modes, over num_subbands, in
-    bits per channel use. Every rate in the package is taken here, as
+    """Sum of log2(1 + P/sigma^2 * g) over the modes divided by num_subbands,
+    in bits per channel use. Every rate in the package is taken here, as
     log1p/ln 2 so that an SNR below eps still counts. Raises
     FloatingPointError if the rate is not finite."""
     snr = powers / noise.variance_sigma2 * gains2
