@@ -15,6 +15,10 @@ import numpy as np
 from .physics import LwaConfig, SPEED_OF_LIGHT, diffraction_gain_grid
 
 BEAMPATTERN_FLOOR = -300.0  # log10 value reported where the energy sum is zero
+# Most gain entries geometry_gains_squared evaluates at once: 9 b rows of
+# the default 21 x 40 x 4 grid. Blocks of 2^13 to 2^16 entries ran equally
+# fast; larger ones only hold more memory.
+GAINS_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -28,8 +32,8 @@ class FrequencyGrid:
         object.__setattr__(self, "frequencies", freqs)
         if freqs.ndim != 1 or freqs.size < 1:
             raise ValueError("need at least one frequency")
-        if np.any(freqs <= 0):
-            raise ValueError("frequencies must be positive")
+        if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
+            raise ValueError("frequencies must be finite and positive")
         if np.any(np.diff(freqs) <= 0):
             raise ValueError("frequencies must be strictly increasing")
 
@@ -60,9 +64,9 @@ class UserSet:
         object.__setattr__(self, "ranges_m", ranges)
         if angles.size < 1 or angles.size != ranges.size:
             raise ValueError("need K >= 1 matching angles and ranges")
-        if np.any(ranges <= 0):
-            raise ValueError("ranges must be positive")
-        if np.any(angles <= 0) or np.any(angles > math.pi / 2):
+        if not np.all(np.isfinite(ranges)) or np.any(ranges <= 0):
+            raise ValueError("ranges must be finite and positive")
+        if not np.all((angles > 0) & (angles <= math.pi / 2)):  # NaN fails both
             raise ValueError("angles must lie in (0, pi/2]")
 
     @property
@@ -74,8 +78,8 @@ class InverseRangeLoss:
     """Frequency-independent attenuation coefficient Gamma = rho_ref / rho."""
 
     def __init__(self, reference_range_m: float = 1.0):
-        if reference_range_m <= 0:
-            raise ValueError("reference_range_m must be > 0")
+        if not (math.isfinite(reference_range_m) and reference_range_m > 0):
+            raise ValueError("reference_range_m must be finite and > 0")
         self.reference_range_m = reference_range_m
 
     def evaluate(self, range_m, frequency_hz):
@@ -93,8 +97,8 @@ class NoiseModel:
     variance_sigma2: float
 
     def __post_init__(self) -> None:
-        if self.variance_sigma2 <= 0:
-            raise ValueError("variance_sigma2 must be > 0")
+        if not (math.isfinite(self.variance_sigma2) and self.variance_sigma2 > 0):
+            raise ValueError("variance_sigma2 must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -146,15 +150,27 @@ def geometry_gains_squared(
 
     Entry [i, j] equals build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
     users, loss).gains_squared bitwise, so subbands below that geometry's
-    cutoff are zero. One gain evaluation per b covers all slit lengths. The
-    norms do not depend on the powers: one array per user draw serves every
-    step of the alternating optimization.
+    cutoff are zero. The gains are evaluated in blocks of whole b rows, each
+    covering every slit length and holding at most GAINS_BLOCK_ENTRIES
+    entries (at least one row). The norms do not depend on the powers: one
+    array per user draw serves every step of the alternating optimization.
+    Raises ValueError if either grid is empty.
     """
+    b_grid = np.asarray(b_grid, dtype=float)
+    slits = np.asarray(L_grid, dtype=float)[:, None, None]
+    if b_grid.size == 0 or slits.size == 0:
+        raise ValueError("grids must be non-empty")
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
-    slits = np.asarray(L_grid, dtype=float)[:, None, None]
-    rows = (diffraction_gain_grid(LwaConfig(b, slits), users.angles_rad, freqs) for b in b_grid)
-    return np.stack([np.sum(np.abs(row * gamma) ** 2, axis=-1) for row in rows])
+    out = np.empty((b_grid.size, slits.shape[0], freqs.size))
+    rows = max(1, GAINS_BLOCK_ENTRIES // (slits.shape[0] * gamma.size))
+    for start in range(0, b_grid.size, rows):
+        config = LwaConfig(b_grid[start:start + rows, None, None], slits)
+        block = diffraction_gain_grid(config, users.angles_rad, freqs)
+        block *= gamma
+        np.square(block, out=block)  # lossless, so real: |x|^2 = x*x bitwise
+        np.sum(block, axis=-1, out=out[start:start + rows])
+    return out
 
 
 def rate_bits(powers, gains2, noise: NoiseModel, num_subbands: int) -> float:

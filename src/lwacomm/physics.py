@@ -36,20 +36,22 @@ class LwaConfig:
     where the gain is real and evaluated in float64; a nonzero value makes
     the sinc argument, and so the gain, complex.
     slit_length_L may be a (J, 1, 1) array of slit lengths, for which
-    diffraction_gain_grid returns one gain grid per slit.
+    diffraction_gain_grid returns one gain grid per slit, and
+    plate_separation_b a (B, 1, 1) array, for which it returns one such
+    (J, N, K) block per b. Every field must be finite.
     """
 
-    plate_separation_b: float
+    plate_separation_b: float | np.ndarray
     slit_length_L: float | np.ndarray
     leakage_alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if np.any(self.plate_separation_b <= 0):
-            raise ValueError("plate_separation_b must be > 0")
-        if np.any(self.slit_length_L <= 0):
-            raise ValueError("slit_length_L must be > 0")
-        if self.leakage_alpha < 0:
-            raise ValueError("leakage_alpha must be >= 0")
+        for name in ("plate_separation_b", "slit_length_L"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)) or np.any(value <= 0):
+                raise ValueError(f"{name} must be finite and > 0")
+        if not (math.isfinite(self.leakage_alpha) and self.leakage_alpha >= 0):
+            raise ValueError("leakage_alpha must be finite and >= 0")
 
     @property
     def cutoff_frequency(self) -> float:
@@ -93,17 +95,21 @@ def _sinc(z: np.ndarray) -> np.ndarray:
 
     Near zero a 4th-order series keeps the peak numerically exact. For real
     z, sin(z) is multiplied by 1/z: that is how numpy rounds a complex
-    division by a number whose imaginary part is 0.
+    division by a number whose imaginary part is 0. z itself is never
+    written; it is copied only when some entry needs the series.
     """
     z = np.asarray(z)
-    small = np.abs(z) < _SINC_SERIES_CUTOFF
-    safe = np.where(small, 1.0, z)
+    magnitude = np.abs(z)
+    small = magnitude < _SINC_SERIES_CUTOFF
+    any_small = small.any()
+    safe = np.where(small, 1.0, z) if any_small else z
+    out = np.sin(safe)
     if np.iscomplexobj(z):
-        out = np.sin(safe) / safe
+        out /= safe
     else:
-        out = np.sin(safe)
-        out *= np.divide(1.0, safe, out=safe)
-    if small.any():
+        # the magnitudes are no longer needed, so the reciprocal goes there
+        out *= np.divide(1.0, safe, out=magnitude)
+    if any_small:
         z_small = z[small]
         z2 = z_small * z_small
         out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
@@ -132,21 +138,28 @@ def diffraction_gain_grid(
 
     Returns an array of shape (len(frequencies), len(angles)), or
     (J, len(frequencies), len(angles)) when slit_length_L is a (J, 1, 1)
-    array. It is real (float64) when leakage_alpha is 0 and complex
-    otherwise. Below the cutoff c/(2b) the guided mode is evanescent and
-    radiates nothing: those frequencies get a gain of exactly 0.
+    array. When plate_separation_b is a (B, 1, 1) array the result gains a
+    leading b axis, (B, J, N, K), with J = 1 for a scalar slit length;
+    every entry equals the one evaluated with that b alone, bitwise. It is
+    real (float64) when leakage_alpha is 0 and complex otherwise. Below the
+    cutoff c/(2b) the guided mode is evanescent and radiates nothing: those
+    frequencies get a gain of exactly 0.
     """
     angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
     if np.any(frequencies <= 0):
         raise ValueError("frequencies must be > 0")
-    valid = frequencies >= config.cutoff_frequency
-    ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
-    k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
+    b = np.asarray(config.plate_separation_b, dtype=float)
+    b = b[..., None] if b.ndim else b  # (B, 1, 1, 1): one (J, N, K) block per b
+    f = frequencies[:, None]
+    valid = f >= SPEED_OF_LIGHT / (2.0 * b)  # the cutoff_frequency expression
+    ratio = SPEED_OF_LIGHT / (2.0 * b * f)
+    k0 = 2.0 * np.pi * f / SPEED_OF_LIGHT
     beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
     if config.leakage_alpha:
         beta = beta - 1j * config.leakage_alpha
-    z = (beta[:, None] - k0[:, None] * np.cos(angles)[None, :]) * (config.slit_length_L / 2.0)
+    z = (beta - k0 * np.cos(angles)) * (config.slit_length_L / 2.0)
     gain = _sinc(z)
-    gain[..., ~valid, :] = 0.0
+    if not valid.all():
+        np.copyto(gain, 0.0, where=~valid)
     return gain

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lwacomm import experiments
+from lwacomm import channel, experiments
 from lwacomm.channel import (
     BEAMPATTERN_FLOOR,
     ChannelMatrix,
@@ -78,22 +78,58 @@ class TestBuildChannel:
         at_cutoff = build_channel(cfg, grid, users, LOSS)
         assert at_cutoff.subcutoff_subbands == () and at_cutoff.entries[0, 0] != 0
 
-    @pytest.mark.parametrize("num_users", [1, 4])
-    def test_geometry_gains_squared_matches_per_point_channels(self, num_users):
+    @staticmethod
+    def _sub_cutoff_grid(num_users):
         # b from 0.3 mm (cutoff ~500 GHz, above the whole band) to 1.5 mm
         # (~100 GHz, below it): every degree of sub-cutoff masking occurs
         grid = FrequencyGrid.subband_centers(120e9, 480e9, 12)
         rng = np.random.default_rng(num_users)
         users = UserSet(rng.uniform(0.2, 1.5, num_users), rng.uniform(5.0, 20.0, num_users))
-        b_grid = np.linspace(0.3e-3, 1.5e-3, 7)
-        L_grid = np.linspace(10e-3, 50e-3, 3)
+        return np.linspace(0.3e-3, 1.5e-3, 7), np.linspace(10e-3, 50e-3, 3), grid, users
+
+    @pytest.mark.parametrize("num_users", [1, 4])
+    def test_geometry_gains_squared_matches_per_point_channels(self, num_users):
+        b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
         gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
         assert gains2.shape == (7, 3, 12)
         for i, b in enumerate(b_grid):
             for j, L in enumerate(L_grid):
-                channel = build_channel(LwaConfig(b, L), grid, users, LOSS)
-                assert np.array_equal(gains2[i, j], channel.gains_squared), (b, L)
+                point = build_channel(LwaConfig(b, L), grid, users, LOSS)
+                assert np.array_equal(gains2[i, j], point.gains_squared), (b, L)
         assert np.all(gains2[0] == 0.0) and np.all(gains2[-1] > 0.0)
+
+    # a block limit below one b row gives seven one-row blocks; one just
+    # above three rows gives blocks of 3, 3 and 1
+    @pytest.mark.parametrize("block_rows, blocks", [(0, 7), (3, 3)])
+    @pytest.mark.parametrize("num_users", [1, 4])
+    def test_gains_blocks_match_per_point_channels(
+        self, num_users, block_rows, blocks, monkeypatch
+    ):
+        b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
+        row_entries = len(L_grid) * grid.num_subbands * num_users
+        monkeypatch.setattr(channel, "GAINS_BLOCK_ENTRIES", block_rows * row_entries + 1)
+        block_sizes = []
+        gain_grid = channel.diffraction_gain_grid
+        with monkeypatch.context() as spy:
+            spy.setattr(
+                channel,
+                "diffraction_gain_grid",
+                lambda *args: block_sizes.append(len(args[0].plate_separation_b))
+                or gain_grid(*args),
+            )
+            gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+        assert len(block_sizes) == blocks and sum(block_sizes) == len(b_grid)
+        for i, b in enumerate(b_grid):
+            for j, L in enumerate(L_grid):
+                point = build_channel(LwaConfig(b, L), grid, users, LOSS)
+                assert np.array_equal(gains2[i, j], point.gains_squared), (b, L)
+
+    @pytest.mark.parametrize("b_grid, L_grid", [([], [10e-3]), ([1e-3], [])])
+    def test_geometry_gains_squared_rejects_empty_grids(self, b_grid, L_grid):
+        grid = FrequencyGrid(np.array([300e9]))
+        users = UserSet(np.array([0.5]), np.array([10.0]))
+        with pytest.raises(ValueError, match="grids must be non-empty"):
+            geometry_gains_squared(np.array(b_grid), np.array(L_grid), grid, users, LOSS)
 
     def test_gains_squared_matches_entries(self):
         grid = FrequencyGrid.subband_centers(200e9, 800e9, 5)
@@ -318,6 +354,32 @@ class TestValidation:
     def test_noise_model(self):
         with pytest.raises(ValueError):
             NoiseModel(0.0)
+
+    @pytest.mark.parametrize(
+        "make, args",
+        [
+            (LwaConfig, (math.nan, 0.01)),
+            (LwaConfig, (1e-3, math.nan)),
+            (LwaConfig, (1e-3, math.inf)),
+            (LwaConfig, (1e-3, 0.01, math.nan)),
+            (LwaConfig, (1e-3, 0.01, math.inf)),
+            (LwaConfig, (np.array([1e-3, math.nan])[:, None, None], 0.01)),
+            (LwaConfig, (1e-3, np.array([0.01, math.inf])[:, None, None])),
+            (NoiseModel, (math.nan,)),
+            (NoiseModel, (math.inf,)),
+            (FrequencyGrid, ([1e11, math.nan],)),
+            (FrequencyGrid, ([1e11, math.inf],)),
+            (UserSet, ([0.5, math.nan], [10.0, 12.0])),
+            (UserSet, ([0.5], [math.nan])),
+            (UserSet, ([0.5], [math.inf])),
+            (InverseRangeLoss, (math.nan,)),
+            (InverseRangeLoss, (math.inf,)),
+        ],
+        ids=lambda v: v.__name__ if isinstance(v, type) else None,
+    )
+    def test_non_finite_fields_rejected(self, make, args):
+        with pytest.raises(ValueError, match="must"):
+            make(*args)
 
     def test_inverse_range_loss(self):
         with pytest.raises(ValueError):

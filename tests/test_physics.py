@@ -242,6 +242,60 @@ class TestRealGain:
             assert np.array_equal(got, reference_diffraction_gain_grid(config, angles, freqs))
 
 
+class TestPlateSeparationAxis:
+    """A (B, 1, 1) plate separation gives a (B, J, N, K) gain whose b slices
+    equal, bitwise, the grids evaluated with each b alone."""
+
+    B_COLUMN = np.array([0.3e-3, 1e-3, B_AT_ROUNDING_CUTOFF, 1.5e-3])[:, None, None]
+    # 0.3 mm cuts off at ~500 GHz, inside the band; the rounding b at its cutoff
+    FREQS = np.array([200e9, 300e9, 480e9, 610e9, 800e9,
+                      LwaConfig(B_AT_ROUNDING_CUTOFF, 10e-3).cutoff_frequency])
+    # angles at the 1 mm emission angles reach the series branch
+    ANGLES = np.concatenate([ANGLES, _peak_angles(B1MM, [300e9, 610e9])])
+
+    @pytest.mark.parametrize("alpha", [0.0, 3.0])
+    @pytest.mark.parametrize("slits", [10e-3, _slit_column(10e-3, 23e-3, 50e-3)])
+    def test_b_column_equals_per_b_grids(self, alpha, slits):
+        got = diffraction_gain_grid(
+            LwaConfig(self.B_COLUMN, slits, alpha), self.ANGLES, self.FREQS
+        )
+        configs = [LwaConfig(b, slits, alpha) for b in self.B_COLUMN.ravel()]
+        per_b = np.stack([diffraction_gain_grid(c, self.ANGLES, self.FREQS) for c in configs])
+        reference = np.stack(
+            [reference_diffraction_gain_grid(c, self.ANGLES, self.FREQS) for c in configs]
+        )
+        assert got.shape == (4, np.size(slits), 6, len(self.ANGLES))
+        assert got.dtype == per_b.dtype == (np.float64 if alpha == 0.0 else np.complex128)
+        assert np.array_equal(got, per_b.reshape(got.shape))
+        assert np.array_equal(got, reference.reshape(got.shape))
+        assert np.all(got[0, :, 3:5] != 0.0) and np.all(got[0, :, :3] == 0.0)
+
+    def test_inputs_are_not_written(self):
+        inputs = [self.B_COLUMN, _slit_column(10e-3, 50e-3), self.ANGLES, self.FREQS]
+        inputs = [x.copy() for x in inputs]
+        before = [x.copy() for x in inputs]
+        for x in inputs:
+            x.flags.writeable = False
+        b, slits, angles, freqs = inputs
+        diffraction_gain_grid(LwaConfig(b, slits), angles, freqs)
+        assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            np.array([0.5, -2.0, 30.0]),
+            np.array([0.5, 0.0, -3e-7, 2.0]),  # series branch
+            np.array([0.5 - 0.1j, 2.0 + 0.0j]),
+            np.array([0.5 - 0.1j, 1e-8 - 1e-9j, 0.0j]),  # series branch
+        ],
+    )
+    def test_sinc_leaves_its_argument_unchanged(self, z):
+        before = z.copy()
+        z.flags.writeable = False
+        out = physics._sinc(z)
+        assert np.array_equal(z, before) and out.dtype == z.dtype
+
+
 class TestBeamPeakFrequency:
     def test_known_value(self):
         phi = emission_angle(B1MM, 300e9)
