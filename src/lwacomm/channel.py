@@ -103,8 +103,7 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """N x K gains; row n is the nth subband channel vector. The gains are
-    real for a lossless LWA (leakage_alpha = 0) and complex otherwise.
+    """N x K gains; row n is the nth subband channel vector.
 
     subcutoff_subbands lists the subband indices whose frequency fell below
     the waveguide cutoff; their rows are zero rather than an error so the
@@ -129,8 +128,6 @@ def build_channel(
     """Assemble the N x K channel: entry (n,k) = G(phi_k, f_n) * Gamma(rho_k, f_n).
 
     Sub-cutoff subbands get zero gain and are reported in subcutoff_subbands.
-    The entries have the dtype of diffraction_gain_grid: real when
-    leakage_alpha is 0.
     """
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
@@ -168,7 +165,7 @@ def geometry_gains_squared(
         config = LwaConfig(b_grid[start:start + rows, None, None], slits)
         block = diffraction_gain_grid(config, users.angles_rad, freqs)
         block *= gamma
-        np.square(block, out=block)  # lossless, so real: |x|^2 = x*x bitwise
+        np.square(block, out=block)  # the gain is real: |x|^2 = x*x bitwise
         np.sum(block, axis=-1, out=out[start:start + rows])
     return out
 
@@ -225,7 +222,7 @@ def beampattern(
         raise ValueError("ranges must be positive")
 
     freqs = grid.frequencies
-    gains2 = np.abs(diffraction_gain_grid(config, angle_grid, freqs)) ** 2
+    gains2 = np.square(diffraction_gain_grid(config, angle_grid, freqs))
     gamma2 = loss.evaluate(range_grid[None, :], freqs[:, None]) ** 2
     energy = np.einsum("n,na,nr->ar", powers, gains2, gamma2)
     return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)

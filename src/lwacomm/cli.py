@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Subcommands: optimize, beampattern, sweep-snr, compare-mimo. Exit codes:
-0 success, 2 config validation failure, 3 numerical failure. A numpy
-overflow, division by zero or invalid operation during a command is a
-numerical failure, not a warning.
+0 success, 2 config validation failure or an --out that cannot be written,
+3 numerical failure. A numpy overflow, division by zero or invalid
+operation during a command is a numerical failure, not a warning.
 """
 
 from __future__ import annotations
@@ -144,6 +144,9 @@ def main(argv=None) -> int:
             handler(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (AllGainsZero, ZeroChannel, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

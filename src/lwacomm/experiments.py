@@ -138,23 +138,28 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a flat key=value config file; unknown keys are errors."""
+    """Parse a flat key=value UTF-8 config file; unknown keys and text that
+    is not UTF-8 are errors."""
     overrides = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            caster = int if _CONFIG_TYPES[key] in ("int", int) else float
-            try:
-                overrides[key] = caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_TYPES:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        caster = int if _CONFIG_TYPES[key] in ("int", int) else float
+        try:
+            overrides[key] = caster(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}")
     return ScenarioConfig(**overrides)
 
 

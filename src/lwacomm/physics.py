@@ -31,10 +31,6 @@ class CutoffViolation(ValueError):
 class LwaConfig:
     """Antenna geometry: plate separation b and slit length L, in meters.
 
-    leakage_alpha is the per-meter attenuation of the guided wave due to
-    leakage out of the slit; it is negligible in practice and defaults to 0,
-    where the gain is real and evaluated in float64; a nonzero value makes
-    the sinc argument, and so the gain, complex.
     slit_length_L may be a (J, 1, 1) array of slit lengths, for which
     diffraction_gain_grid returns one gain grid per slit, and
     plate_separation_b a (B, 1, 1) array, for which it returns one such
@@ -43,15 +39,12 @@ class LwaConfig:
 
     plate_separation_b: float | np.ndarray
     slit_length_L: float | np.ndarray
-    leakage_alpha: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("plate_separation_b", "slit_length_L"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value)) or np.any(value <= 0):
                 raise ValueError(f"{name} must be finite and > 0")
-        if not (math.isfinite(self.leakage_alpha) and self.leakage_alpha >= 0):
-            raise ValueError("leakage_alpha must be finite and >= 0")
 
     @property
     def cutoff_frequency(self) -> float:
@@ -71,10 +64,11 @@ def emission_angle(config: LwaConfig, frequency: float) -> float:
     """Azimuth angle (rad) at which `frequency` is radiated: arcsin(c/(2bf)).
 
     Strictly decreasing in frequency for fixed b. Raises CutoffViolation for
-    frequencies below the cutoff c/(2b).
+    frequencies below the cutoff c/(2b), and ValueError for a frequency that
+    is not finite and > 0.
     """
-    if frequency <= 0:
-        raise ValueError("frequency must be > 0")
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ValueError("frequency must be finite and > 0")
     _require_propagating(config, frequency)
     ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequency)
     return math.asin(min(ratio, 1.0))  # at the cutoff, ratio can round to 1 + 2^-52
@@ -91,12 +85,13 @@ def beam_peak_frequency(config: LwaConfig, angle: float) -> float:
 
 
 def _sinc(z: np.ndarray) -> np.ndarray:
-    """Unnormalized sinc sin(z)/z, sinc(0) = 1, in z's dtype (real or complex).
+    """Unnormalized sinc sin(z)/z of real z, sinc(0) = 1, in float64.
 
-    Near zero a 4th-order series keeps the peak numerically exact. For real
-    z, sin(z) is multiplied by 1/z: that is how numpy rounds a complex
-    division by a number whose imaginary part is 0. z itself is never
-    written; it is copied only when some entry needs the series.
+    Near zero a 4th-order series keeps the peak numerically exact. sin(z) is
+    multiplied by 1/z: that is how numpy rounds a complex division by a
+    number whose imaginary part is 0, so the result equals the complex
+    evaluation bitwise. z itself is never written; it is copied only when
+    some entry needs the series.
     """
     z = np.asarray(z)
     magnitude = np.abs(z)
@@ -104,11 +99,8 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     any_small = small.any()
     safe = np.where(small, 1.0, z) if any_small else z
     out = np.sin(safe)
-    if np.iscomplexobj(z):
-        out /= safe
-    else:
-        # the magnitudes are no longer needed, so the reciprocal goes there
-        out *= np.divide(1.0, safe, out=magnitude)
+    # the magnitudes are no longer needed, so the reciprocal goes there
+    out *= np.divide(1.0, safe, out=magnitude)
     if any_small:
         z_small = z[small]
         z2 = z_small * z_small
@@ -116,19 +108,20 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def diffraction_gain(config: LwaConfig, angle: float, frequency: float) -> complex:
-    """Slit diffraction gain sinc[(beta - j*alpha - k0*cos(angle)) L/2].
+def diffraction_gain(config: LwaConfig, angle: float, frequency: float) -> float:
+    """Slit diffraction gain sinc[(beta - k0*cos(angle)) L/2].
 
     beta = k0*sqrt(1 - (c/(2bf))^2) is the guided-mode phase constant and
-    k0 = 2*pi*f/c the free-space wavenumber. With alpha = 0 the gain is real,
-    |G| <= 1, and |G| = 1 exactly at the emission angle of `frequency`.
-    Raises CutoffViolation below cutoff, where no mode propagates.
+    k0 = 2*pi*f/c the free-space wavenumber. The gain is real, |G| <= 1, and
+    |G| = 1 exactly at the emission angle of `frequency`. Raises
+    CutoffViolation below cutoff, where no mode propagates, and ValueError
+    for a frequency that is not finite and > 0.
     """
     gain = diffraction_gain_grid(
         config, np.asarray([angle], dtype=float), np.asarray([frequency], dtype=float)
     )
     _require_propagating(config, frequency)
-    return complex(gain[0, 0])
+    return float(gain[0, 0])
 
 
 def diffraction_gain_grid(
@@ -140,15 +133,15 @@ def diffraction_gain_grid(
     (J, len(frequencies), len(angles)) when slit_length_L is a (J, 1, 1)
     array. When plate_separation_b is a (B, 1, 1) array the result gains a
     leading b axis, (B, J, N, K), with J = 1 for a scalar slit length;
-    every entry equals the one evaluated with that b alone, bitwise. It is
-    real (float64) when leakage_alpha is 0 and complex otherwise. Below the
-    cutoff c/(2b) the guided mode is evanescent and radiates nothing: those
-    frequencies get a gain of exactly 0.
+    every entry equals the one evaluated with that b alone, bitwise. The
+    gain is float64. Below the cutoff c/(2b) the guided mode is evanescent
+    and radiates nothing: those frequencies get a gain of exactly 0. Raises
+    ValueError unless every frequency is finite and > 0.
     """
     angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
-    if np.any(frequencies <= 0):
-        raise ValueError("frequencies must be > 0")
+    if not np.all(np.isfinite(frequencies)) or np.any(frequencies <= 0):
+        raise ValueError("frequencies must be finite and > 0")
     b = np.asarray(config.plate_separation_b, dtype=float)
     b = b[..., None] if b.ndim else b  # (B, 1, 1, 1): one (J, N, K) block per b
     f = frequencies[:, None]
@@ -156,8 +149,6 @@ def diffraction_gain_grid(
     ratio = SPEED_OF_LIGHT / (2.0 * b * f)
     k0 = 2.0 * np.pi * f / SPEED_OF_LIGHT
     beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
-    if config.leakage_alpha:
-        beta = beta - 1j * config.leakage_alpha
     z = (beta - k0 * np.cos(angles)) * (config.slit_length_L / 2.0)
     gain = _sinc(z)
     if not valid.all():

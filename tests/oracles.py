@@ -201,8 +201,5 @@ def reference_diffraction_gain_grid(config, angles, frequencies) -> np.ndarray:
     ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
     k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
     beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
-    z = (
-        (beta - 1j * config.leakage_alpha)[:, None]
-        - k0[:, None] * np.cos(angles)[None, :]
-    ) * (config.slit_length_L / 2.0)
+    z = (beta[:, None] - k0[:, None] * np.cos(angles)[None, :]) * (config.slit_length_L / 2.0)
     return np.where(valid[:, None], _reference_sinc(z), 0.0)

@@ -361,8 +361,8 @@ class TestValidation:
             (LwaConfig, (math.nan, 0.01)),
             (LwaConfig, (1e-3, math.nan)),
             (LwaConfig, (1e-3, math.inf)),
-            (LwaConfig, (1e-3, 0.01, math.nan)),
-            (LwaConfig, (1e-3, 0.01, math.inf)),
+            (LwaConfig, (math.inf, 0.01)),
+            (LwaConfig, (1e-3, np.array([0.01, math.nan])[:, None, None])),
             (LwaConfig, (np.array([1e-3, math.nan])[:, None, None], 0.01)),
             (LwaConfig, (1e-3, np.array([0.01, math.inf])[:, None, None])),
             (NoiseModel, (math.nan,)),

@@ -112,6 +112,27 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_config_file_not_utf8_exits_2(tmp_path, capsys):
+    # a UTF-16 byte-order mark used to raise UnicodeDecodeError (exit 1)
+    path = tmp_path / "scenario.cfg"
+    path.write_bytes(b"\xff\xfe" + FAST_CFG.encode("utf-16-le"))
+    assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "beampattern", "sweep-snr", "compare-mimo"])
+def test_unusable_out_exits_2(tmp_path, capsys, command):
+    # --out naming an existing file used to raise FileExistsError (exit 1)
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    extra = ["--trials", "1", "--snr-db", "0"] if command == "sweep-snr" else []
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert out.read_text() == ""
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # band entirely below the waveguide cutoff for every candidate b:
     # every channel gain is zero and waterfilling is undefined
