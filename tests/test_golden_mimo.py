@@ -1,0 +1,100 @@
+"""Golden MIMO baseline rates, compared bitwise.
+
+Each trial's geometry is the one the LWA optimizer chooses at the default
+power budget. The MIMO tensor is built for that trial's user draw,
+normalized once to the LWA channel at that geometry, and rated at every
+budget of the trial's set:
+
+- the default scenario, trials 0-19, at the nine points of the default SNR
+  ladder and at 80 dB, where the SVD fallback of mimo_sum_rate runs;
+- the wide-band benchmark scenario (N=256, K=32, M=256 on a 7x7 grid),
+  trials 1-3, at the default budget and at 70 dB, where the fallback runs.
+
+golden_mimo.json holds each normalization factor and rate as float hex.
+Record it again (only when a change of MIMO outputs is intended) with
+
+    PYTHONPATH=src python tests/test_golden_mimo.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from lwacomm.channel import InverseRangeLoss, build_channel
+from lwacomm.cli import DEFAULT_SNR_LADDER_DB
+from lwacomm.experiments import ScenarioConfig, optimize_scenario, sample_users
+from lwacomm.mimo import build_mimo_channel, mimo_sum_rate, normalize_to_lwa
+from lwacomm.physics import LwaConfig
+
+GOLDEN_PATH = Path(__file__).with_name("golden_mimo.json")
+WIDE_BAND = ScenarioConfig(
+    num_subbands=256, num_users=32, mimo_elements=256, b_grid_points=7, slit_grid_points=7
+)
+# (name, config, trials, SNR points in dB); None is the config's own budget
+CASES = [
+    ("default", ScenarioConfig(), range(20), [*DEFAULT_SNR_LADDER_DB, 80.0]),
+    ("wide-band", WIDE_BAND, range(1, 4), [None, 70.0]),
+]
+
+
+def budget_of(config: ScenarioConfig, snr_db) -> float:
+    if snr_db is None:
+        return config.power_budget
+    return 10.0 ** (snr_db / 10.0) * config.num_subbands * config.noise_variance
+
+
+def snapshot(config: ScenarioConfig, trial: int, snr_points) -> dict:
+    users = sample_users(config, trial)
+    result = optimize_scenario(config, users)
+    grid = config.frequency_grid()
+    lwa = build_channel(
+        LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
+    )
+    tensor = normalize_to_lwa(build_mimo_channel(config.ula(), grid, users), lwa)
+    noise = config.noise()
+    return {
+        "trial": trial,
+        "factor": float(tensor.normalization_factor).hex(),
+        "rates": [
+            mimo_sum_rate(tensor, budget_of(config, snr_db), noise).hex()
+            for snr_db in snr_points
+        ],
+    }
+
+
+def record() -> dict:
+    return {
+        name: {
+            "snr_db": snr_points,
+            "trials": [snapshot(config, trial, snr_points) for trial in trials],
+        }
+        for name, config, trials, snr_points in CASES
+    }
+
+
+def test_mimo_rates_match_golden(monkeypatch):
+    svd_inputs = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        svd_inputs.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    golden = json.loads(GOLDEN_PATH.read_text())
+    fallbacks = {}
+    for name, config, trials, snr_points in CASES:
+        assert golden[name]["snr_db"] == snr_points
+        want = golden[name]["trials"]
+        assert [entry["trial"] for entry in want] == list(trials)
+        for entry in want:
+            assert snapshot(config, entry["trial"], snr_points) == entry, (name, entry["trial"])
+        fallbacks[name] = len(svd_inputs)
+        del svd_inputs[:]
+    # the highest point reaches the fallback wherever an eigenvalue is unresolved
+    assert fallbacks == {"default": 15, "wide-band": 3}
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(record(), indent=1) + "\n")
