@@ -76,7 +76,6 @@ def _load_scenario(args) -> ScenarioConfig:
 def _cmd_optimize(args, config: ScenarioConfig) -> None:
     users = sample_users(config, 0)
     result = optimize_scenario(config, users)
-    os.makedirs(args.out, exist_ok=True)
     write_allocation(result, args.out)
     if not args.quiet:
         print(
@@ -99,7 +98,6 @@ def _cmd_sweep(args, config: ScenarioConfig) -> None:
     if args.trials is not None:
         config = replace(config, trials=args.trials)
     sweep = run_snr_sweep(config, args.snr_db)
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "sweep.csv")
     with open(path, "w", newline="") as fh:
         fh.write(sweep.to_csv())
@@ -113,7 +111,6 @@ def _cmd_sweep(args, config: ScenarioConfig) -> None:
 
 def _cmd_compare(args, config: ScenarioConfig) -> None:
     lwa_rate, mimo_rate, result = paired_rates(config, 0, config.power_budget)
-    os.makedirs(args.out, exist_ok=True)
     report = (
         f"lwa_rate_bits: {lwa_rate:.9g}\n"
         f"mimo_rate_bits: {mimo_rate:.9g}\n"
@@ -140,6 +137,7 @@ def main(argv=None) -> int:
         "compare-mimo": _cmd_compare,
     }[args.command]
     try:
+        os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any work
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             handler(args, config)
     except ConfigError as exc:

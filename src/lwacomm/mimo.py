@@ -1,15 +1,21 @@
 """Fully digital wideband MIMO baseline.
 
 Uniform linear array with an exact-distance (spherical wavefront) LoS
-channel, valid in both radiative near and far field. The tensor is
+channel, valid in both radiative near and far field. The channel is
 normalized so its largest tap magnitude matches the LWA channel, and the
 sum-rate uses waterfilling pooled over per-subband eigenmodes and
 frequency bins.
+
+Both read only the channel's MimoSpectrum, which build_mimo_channel takes
+in one pass over blocks of subbands without keeping the N x K x M entries,
+so the baseline's memory is of the order of one block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +28,8 @@ from .physics import SPEED_OF_LIGHT
 # r * eps * lambda_max, so only those at or above r * eps / GRAM_RTOL times
 # the subband's largest are resolved; the rest are treated as 0.
 GRAM_RTOL = 1e-9
-# Subband matrices per block: bounds the magnitudes, scaled and conjugated
-# copies that exist at one time to about this many entries each.
+# Subband matrices per block: bounds the entries, magnitudes, scaled and
+# conjugated copies that exist at one time to about this many entries each.
 GRAM_BLOCK_ENTRIES = 2**15
 
 
@@ -59,13 +65,91 @@ class UlaGeometry:
         return (self.num_elements_M - 1) * self.spacing_m
 
 
-@dataclass(frozen=True)
-class MimoChannelTensor:
-    """N x K x M complex gains and a scalar normalization: the channel is
-    normalization_factor * entries."""
+class _LineOfSight:
+    """A built channel's entries exp(-2j pi f_n d_km / c) / d_km, made on
+    demand for any run of subbands."""
 
-    entries: np.ndarray
-    normalization_factor: float = 1.0
+    def __init__(self, dist: np.ndarray, freqs: np.ndarray):
+        self.dist, self.freqs, self.shape = dist, freqs, (freqs.size, *dist.shape)
+
+    def __getitem__(self, subbands: slice) -> np.ndarray:
+        freqs = self.freqs[subbands]
+        # Built in place, rounding as exp(-2j*pi*f*d / c) / d does: numpy divides
+        # a complex by a real x as a product with 1/x.
+        entries = np.zeros((freqs.size, *self.dist.shape), dtype=complex)
+        phase = entries.imag
+        np.multiply((-2.0 * np.pi) * freqs[:, None, None], self.dist, out=phase)
+        phase *= 1.0 / SPEED_OF_LIGHT
+        np.exp(entries, out=entries)
+        entries *= 1.0 / self.dist
+        return entries
+
+
+class MimoSpectrum(NamedTuple):
+    """An N x K x M channel H as the normalization and the rate read it: the
+    largest |entry| of H; per subband H_n, its largest real or imaginary
+    part p_n; and the ascending eigenvalues of the Gram matrix of H_n / p_n
+    on its short side, shape (N, min(K, M))."""
+
+    peak: float
+    subband_peaks: np.ndarray
+    eigenvalues: np.ndarray
+
+
+def _spectrum(blocks) -> MimoSpectrum:
+    """The spectrum of blocks (an N x K x M array, or any object with its
+    .shape whose [subbands] gives those subbands' entries), read about
+    GRAM_BLOCK_ENTRIES entries of whole subbands at a time. Each subband is
+    scaled to a largest real or imaginary part of 1 before its Gram is
+    formed, so the Gram cannot underflow or overflow."""
+    n, K, M = blocks.shape
+    step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
+    peak = 0.0
+    subband_peaks = np.empty(n)
+    eigs = np.empty((n, min(K, M)))
+    for start in range(0, n, step):
+        subbands = slice(start, start + step)
+        block = np.ascontiguousarray(blocks[subbands])
+        peak = np.maximum(peak, np.abs(block).max())  # not max(): a nan must propagate
+        scale = np.abs(block.view(float)).max(axis=(1, 2))
+        inv_scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+        wide = block * inv_scale[:, None, None]
+        if K > M:
+            wide = wide.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
+        subband_peaks[subbands] = scale
+        eigs[subbands] = np.linalg.eigvalsh(wide @ wide.conj().swapaxes(-1, -2))
+    return MimoSpectrum(float(peak), subband_peaks, eigs)
+
+
+class MimoChannelTensor:
+    """The channel normalization_factor * H, H an N x K x M complex tensor.
+
+    MimoChannelTensor(entries[, normalization_factor]) wraps an explicit H.
+    A tensor from build_mimo_channel holds only the element-user distances
+    and the frequencies, and .entries rebuilds its H on every access (only
+    the SVD fallback of mimo_sum_rate and tests read it). .spectrum is H's
+    MimoSpectrum, read once and shared with the tensors normalize_to_lwa
+    derives from this one.
+    """
+
+    def __init__(self, entries, normalization_factor: float = 1.0):
+        self._blocks = entries
+        self.normalization_factor = normalization_factor
+
+    @property
+    def entries(self) -> np.ndarray:
+        blocks = self._blocks
+        return blocks if isinstance(blocks, np.ndarray) else blocks[:]
+
+    @cached_property
+    def spectrum(self) -> MimoSpectrum:
+        return _spectrum(self._blocks)
+
+
+def _tensor(blocks, normalization_factor: float, spectrum: MimoSpectrum) -> MimoChannelTensor:
+    tensor = MimoChannelTensor(blocks, normalization_factor)
+    tensor.spectrum = spectrum
+    return tensor
 
 
 def build_mimo_channel(
@@ -74,7 +158,9 @@ def build_mimo_channel(
     """Exact-distance LoS channel: entry (n,k,m) = (1/d_km) exp(-j 2 pi f_n d_km / c).
 
     d_km is the element-to-user Euclidean distance, so near-field curvature
-    is captured. Users must lie outside the array (range > aperture/2).
+    is captured. Users must lie outside the array (range > aperture/2). The
+    spectrum is read here, in one pass over blocks of subbands; the
+    N x K x M entries are never held at once.
     """
     if np.any(users.ranges_m <= geometry.aperture_m / 2.0):
         raise ValueError("user ranges must exceed half the array aperture")
@@ -83,59 +169,22 @@ def build_mimo_channel(
     uy = users.ranges_m * np.sin(users.angles_rad)
     pos = geometry.element_positions
     dist = np.sqrt((ux[:, None] - pos[None, :]) ** 2 + uy[:, None] ** 2)  # K x M
-    freqs = grid.frequencies
-    # Built in place, rounding as exp(-2j*pi*f*d / c) / d does: numpy divides
-    # a complex by a real x as a product with 1/x.
-    entries = np.zeros((freqs.size, *dist.shape), dtype=complex)
-    phase = entries.imag
-    np.multiply((-2.0 * np.pi) * freqs[:, None, None], dist, out=phase)
-    phase *= 1.0 / SPEED_OF_LIGHT
-    np.exp(entries, out=entries)
-    entries *= 1.0 / dist
-    return MimoChannelTensor(entries, 1.0)
-
-
-def _subband_blocks(entries: np.ndarray) -> list:
-    """Slices of whole subbands holding about GRAM_BLOCK_ENTRIES entries each."""
-    n, K, M = entries.shape
-    step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
-    return [slice(start, start + step) for start in range(0, n, step)]
+    los = _LineOfSight(dist, grid.frequencies)
+    return _tensor(los, 1.0, _spectrum(los))
 
 
 def normalize_to_lwa(
     tensor: MimoChannelTensor, lwa_channel: ChannelMatrix
 ) -> MimoChannelTensor:
     """Set the normalization so the channel's max tap magnitude matches the
-    LWA channel's. The entries are shared, not copied."""
-    entries = tensor.entries
-    peak = np.max([np.abs(entries[block]).max() for block in _subband_blocks(entries)])
-    mimo_max = tensor.normalization_factor * float(peak)
+    LWA channel's. The entries and the spectrum are shared, not copied."""
+    mimo_max = tensor.normalization_factor * tensor.spectrum.peak
     lwa_max = float(np.max(np.abs(lwa_channel.entries)))
     if mimo_max == 0.0 or lwa_max == 0.0:
         raise ZeroChannel("cannot normalize a channel with all-zero entries")
-    return MimoChannelTensor(tensor.entries, tensor.normalization_factor * (lwa_max / mimo_max))
-
-
-def _gram_eigenvalues(entries: np.ndarray, scale: float) -> np.ndarray:
-    """Eigenvalues of the Gram matrix of scale * H_n on its short side, for
-    each subband matrix H_n of entries: ascending, shape (N, min(K, M)).
-
-    Each subband is scaled to a largest real or imaginary part of 1 before
-    its Gram is formed, so the Gram cannot underflow or overflow; the scale
-    is put back on the eigenvalues.
-    """
-    n, K, M = entries.shape
-    eigs = np.empty((n, min(K, M)))
-    for subbands in _subband_blocks(entries):
-        block = np.ascontiguousarray(entries[subbands])
-        peak = np.abs(block.view(float)).max(axis=(1, 2))
-        inv_peak = np.divide(1.0, peak, out=np.zeros_like(peak), where=peak > 0)
-        wide = block * inv_peak[:, None, None]
-        if K > M:
-            wide = wide.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
-        gram = wide @ wide.conj().swapaxes(-1, -2)
-        eigs[subbands] = np.linalg.eigvalsh(gram) * np.square(scale * peak)[:, None]
-    return eigs
+    return _tensor(
+        tensor._blocks, tensor.normalization_factor * (lwa_max / mimo_max), tensor.spectrum
+    )
 
 
 def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):
@@ -155,21 +204,22 @@ def mimo_sum_rate(
     over the N subbands (channel.rate_bits, which raises FloatingPointError
     if the rate is not finite).
 
-    The squared singular values are taken as the eigenvalues of the r x r
-    Gram matrix of H_n on its short side (r = min(K, M)). Those below
+    The squared singular values are taken from the spectrum: the
+    eigenvalues of the r x r Gram matrix of H_n / p_n on its short side
+    (r = min(K, M)), times (normalization_factor * p_n)^2. Those below
     tau * lambda_max(n), tau = r * eps / GRAM_RTOL, are not resolved and
     enter the waterfill as 0. If the water level shows that one of them
-    could still have been active, the pool is recomputed from the SVD and
-    waterfilled again, so the rate keeps the SVD's accuracy at any SNR.
+    could still have been active, the pool is recomputed from the SVD of
+    the entries and waterfilled again, so the rate keeps the SVD's accuracy
+    at any SNR.
     """
     if budget_P <= 0:
         raise ValueError("budget_P must be > 0")
-    entries, factor = tensor.entries, tensor.normalization_factor
-    _, K, M = entries.shape
-    tau = min(K, M) * np.finfo(float).eps / GRAM_RTOL
+    spectrum, factor = tensor.spectrum, tensor.normalization_factor
+    tau = spectrum.eigenvalues.shape[1] * np.finfo(float).eps / GRAM_RTOL
     sigma2 = noise.variance_sigma2
 
-    pooled = _gram_eigenvalues(entries, factor)
+    pooled = spectrum.eigenvalues * np.square(factor * spectrum.subband_peaks)[:, None]
     lam_max = pooled[:, -1:]
     unresolved = pooled < tau * lam_max
     pooled[unresolved] = 0.0
@@ -179,6 +229,8 @@ def mimo_sum_rate(
     level = alloc.powers[active] + sigma2 / pooled.flat[active]
     if np.any(sigma2 / level < tau * lam_max[unresolved.any(axis=1)]):
         # an unresolved mode's floor may lie below the water level
+        entries = tensor.entries
+        _, K, M = entries.shape
         tall = entries if K > M else entries.swapaxes(-1, -2)
         svals = np.linalg.svd(tall, compute_uv=False)
         _, rate = _pooled_rate(np.square(factor * svals), budget_P, noise)

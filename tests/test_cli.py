@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from lwacomm import cli
 from lwacomm.cli import main
 
 FAST_CFG = """
@@ -122,13 +123,18 @@ def test_config_file_not_utf8_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["optimize", "beampattern", "sweep-snr", "compare-mimo"])
-def test_unusable_out_exits_2(tmp_path, capsys, command):
-    # --out naming an existing file used to raise FileExistsError (exit 1)
+def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # --out naming an existing file used to raise FileExistsError (exit 1),
+    # and later exited 2 only after the whole computation had run
+    def never_called(*args, **kwargs):
+        raise AssertionError("the command computed before checking --out")
+
+    for name in ("optimize_scenario", "run_beampattern_experiment", "run_snr_sweep", "paired_rates"):
+        monkeypatch.setattr(cli, name, never_called)
     cfg = write_cfg(tmp_path)
     out = tmp_path / "taken"
     out.write_text("")
-    extra = ["--trials", "1", "--snr-db", "0"] if command == "sweep-snr" else []
-    assert main([command, "--config", cfg, "--out", str(out), "--quiet", *extra]) == 2
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "output error" in capsys.readouterr().err
     assert out.read_text() == ""
 

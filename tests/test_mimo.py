@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestBuildChannel:
             assert np.sum(svals[n] ** 2) == pytest.approx(frob2, rel=1e-9)
 
 
+class RecordedBlocks:
+    """An explicit tensor as a source of subband blocks that records which
+    runs of subbands are read."""
+
+    def __init__(self, entries):
+        self.entries, self.shape, self.reads = entries, entries.shape, []
+
+    def __getitem__(self, subbands):
+        self.reads.append(subbands)
+        return self.entries[subbands]
+
+
 def lwa_channel():
     return build_channel(LwaConfig(1e-3, 20e-3), GRID, USERS, InverseRangeLoss())
 
@@ -147,9 +160,12 @@ class TestNormalization:
         rng = np.random.default_rng(11)
         entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         entries[-1, 1, 5] = 7.0 - 6.0j  # the largest tap, in the last block
-        assert len(mimo._subband_blocks(entries)) >= 4
+        blocks = RecordedBlocks(entries)
         target = lwa_channel()
-        tensor = normalize_to_lwa(MimoChannelTensor(entries, 0.3), target)
+        tensor = normalize_to_lwa(MimoChannelTensor(blocks, 0.3), target)
+        assert len(blocks.reads) >= 4
+        assert [s.start for s in blocks.reads[1:]] == [s.stop for s in blocks.reads[:-1]]
+        assert blocks.reads[0].start == 0 and blocks.reads[-1].stop >= shape[0]
         lwa_max = float(np.max(np.abs(target.entries)))
         want = 0.3 * (lwa_max / (0.3 * float(np.max(np.abs(entries)))))
         assert tensor.normalization_factor == want
@@ -235,6 +251,41 @@ class TestSumRate:
             if rates[1] >= rates[0] - 1e-12:
                 wins += 1
         assert wins >= int(0.9 * trials)
+
+
+class TestSpectrumMemory:
+    def test_build_normalize_rate_hold_no_tensor(self):
+        # N x K x M = 256 x 32 x 256 complex entries would take 33.5 MB
+        config = ScenarioConfig(num_subbands=256, num_users=32, mimo_elements=256)
+        users = sample_users(config, 1)
+        grid = config.frequency_grid()
+        target = build_channel(LwaConfig(1e-3, 20e-3), grid, users, InverseRangeLoss())
+        ula = config.ula()
+        tracemalloc.start()
+        try:
+            tensor = normalize_to_lwa(build_mimo_channel(ula, grid, users), target)
+            rate = mimo_sum_rate(tensor, config.power_budget, NOISE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rate > 0
+        assert peak < 256 * 32 * 256 * 16 / 8, f"peak {peak / 2**20:.2f} MiB"
+
+    @pytest.mark.parametrize("snr_db, svd_runs", [(20.0, 0), (100.0, 2)], ids=["gram", "svd"])
+    def test_explicit_entries_rate_as_built(self, snr_db, svd_runs, svd_calls):
+        config = ScenarioConfig(num_subbands=8, num_users=8, mimo_elements=8)
+        users = sample_users(config, 0)
+        grid = config.frequency_grid()
+        target = build_channel(LwaConfig(1e-3, 14e-3), grid, users, InverseRangeLoss())
+        built = build_mimo_channel(config.ula(), grid, users)
+        entries = built.entries
+        explicit = normalize_to_lwa(MimoChannelTensor(entries), target)
+        assert explicit.entries is entries
+        built = normalize_to_lwa(built, target)
+        assert explicit.normalization_factor == built.normalization_factor
+        budget = snr_budget(built, snr_db)
+        assert mimo_sum_rate(explicit, budget, NOISE) == mimo_sum_rate(built, budget, NOISE)
+        assert len(svd_calls) == svd_runs
 
 
 def normalized_tensor(num_users, num_elements, seed=0):
