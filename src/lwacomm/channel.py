@@ -8,6 +8,7 @@ by rate_bits, with base-2 logs (bits per channel use).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,10 @@ import numpy as np
 from .physics import LwaConfig, SPEED_OF_LIGHT, diffraction_gain_grid
 
 BEAMPATTERN_FLOOR = -300.0  # log10 value reported where the energy sum is zero
-# Most gain entries geometry_gains_squared evaluates at once: 9 b rows of
-# the default 21 x 40 x 4 grid. Blocks of 2^13 to 2^16 entries ran equally
-# fast; larger ones only hold more memory.
+# Most gain entries geometry_gains_squared evaluates in one call, counted
+# for one user: 39 b rows of the default 21 x 40 grid, so the default and
+# wide-band grids each take one block. Blocks of 2^13 to 2^16 entries ran
+# equally fast; larger ones only hold more memory.
 GAINS_BLOCK_ENTRIES = 2**15
 
 
@@ -42,6 +44,8 @@ class FrequencyGrid:
         """Centers of n equal-width bins covering [f_low, f_high]."""
         if not (0 < f_low < f_high):
             raise ValueError("need 0 < f_low < f_high")
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"need an integer bin count n >= 1, got {n!r}")
         width = (f_high - f_low) / n
         return cls(f_low + width * (np.arange(n) + 0.5))
 
@@ -136,6 +140,38 @@ def build_channel(
     return ChannelMatrix(entries, tuple(int(n) for n in subcutoff))
 
 
+def _pairwise_sum(terms, n: int) -> np.ndarray:
+    """Sum of the next n arrays of the iterator `terms`, added in the order
+    numpy's pairwise summation uses along a contiguous axis, so the result
+    equals np.sum(np.stack(arrays, axis=-1), axis=-1) bitwise.
+
+    Below 8 terms they are added in order. Up to 128, term k goes into
+    running partial k mod 8 until fewer than 8 remain; the partials combine
+    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest are added in order.
+    Above 128 the terms split at half, rounded down to a multiple of 8. The
+    arrays are summed into in place, and at most 9 are held at once per
+    level of that split.
+    """
+    if n < 8:
+        total = next(terms)
+        for _ in range(n - 1):
+            total += next(terms)
+        return total
+    if n <= 128:
+        r = [next(terms) for _ in range(8)]
+        for k in range(8, n - n % 8):
+            r[k % 8] += next(terms)
+        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
+            r[a] += r[b]
+        for _ in range(n % 8):
+            r[0] += next(terms)
+        return r[0]
+    half = n // 2 - n // 2 % 8
+    total = _pairwise_sum(terms, half)
+    total += _pairwise_sum(terms, n - half)
+    return total
+
+
 def geometry_gains_squared(
     b_grid: np.ndarray,
     L_grid: np.ndarray,
@@ -147,11 +183,14 @@ def geometry_gains_squared(
 
     Entry [i, j] equals build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
     users, loss).gains_squared bitwise, so subbands below that geometry's
-    cutoff are zero. The gains are evaluated in blocks of whole b rows, each
-    covering every slit length and holding at most GAINS_BLOCK_ENTRIES
-    entries (at least one row). The norms do not depend on the powers: one
-    array per user draw serves every step of the alternating optimization.
-    Raises ValueError if either grid is empty.
+    cutoff are zero. The b rows go in blocks of at most GAINS_BLOCK_ENTRIES
+    entries per user (at least one row), and each block is built user by
+    user: one diffraction_gain_grid call gives a user's contiguous
+    (rows, L, N) gains, which are scaled and squared in place and folded
+    into the sum as they come, in the pairwise order of np.sum over a user
+    axis. The norms do not depend on the powers: one array per user draw
+    serves every step of the alternating optimization. Raises ValueError if
+    either grid is empty.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     slits = np.asarray(L_grid, dtype=float)[:, None, None]
@@ -159,14 +198,19 @@ def geometry_gains_squared(
         raise ValueError("grids must be non-empty")
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
+    angles = users.angles_rad
     out = np.empty((b_grid.size, slits.shape[0], freqs.size))
-    rows = max(1, GAINS_BLOCK_ENTRIES // (slits.shape[0] * gamma.size))
+    rows = max(1, GAINS_BLOCK_ENTRIES // (slits.shape[0] * freqs.size))
+
+    def user_gains(config, k):
+        gains = diffraction_gain_grid(config, angles[k:k + 1], freqs)
+        gains *= gamma[:, k:k + 1]
+        return np.square(gains, out=gains)  # the gain is real: |x|^2 = x*x bitwise
+
     for start in range(0, b_grid.size, rows):
         config = LwaConfig(b_grid[start:start + rows, None, None], slits)
-        block = diffraction_gain_grid(config, users.angles_rad, freqs)
-        block *= gamma
-        np.square(block, out=block)  # the gain is real: |x|^2 = x*x bitwise
-        np.sum(block, axis=-1, out=out[start:start + rows])
+        terms = (user_gains(config, k) for k in range(angles.size))
+        out[start:start + rows] = _pairwise_sum(terms, angles.size)[..., 0]
     return out
 
 

@@ -68,6 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: every main() call in a process parses with the same parser,
+# which keeps no state between parses.
+_PARSER = _build_parser()
+
+
 def _load_scenario(args) -> ScenarioConfig:
     config = load_config(args.config) if args.config else ScenarioConfig()
     return config if args.seed is None else replace(config, seed=args.seed)
@@ -124,7 +129,7 @@ def _cmd_compare(args, config: ScenarioConfig) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = _load_scenario(args)
     except (ConfigError, OSError) as exc:

@@ -90,18 +90,20 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     Near zero a 4th-order series keeps the peak numerically exact. sin(z) is
     multiplied by 1/z: that is how numpy rounds a complex division by a
     number whose imaginary part is 0, so the result equals the complex
-    evaluation bitwise. z itself is never written; it is copied only when
-    some entry needs the series.
+    evaluation bitwise. z itself is never written; it is copied, and the
+    mask of series entries built, only when some entry needs the series.
     """
     z = np.asarray(z)
     magnitude = np.abs(z)
-    small = magnitude < _SINC_SERIES_CUTOFF
-    any_small = small.any()
-    safe = np.where(small, 1.0, z) if any_small else z
+    # fmin skips NaN, so a NaN entry cannot hide a small one
+    small = None
+    if magnitude.size and np.fmin.reduce(magnitude, axis=None) < _SINC_SERIES_CUTOFF:
+        small = magnitude < _SINC_SERIES_CUTOFF
+    safe = z if small is None else np.where(small, 1.0, z)
     out = np.sin(safe)
     # the magnitudes are no longer needed, so the reciprocal goes there
     out *= np.divide(1.0, safe, out=magnitude)
-    if any_small:
+    if small is not None:
         z_small = z[small]
         z2 = z_small * z_small
         out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -78,6 +79,9 @@ class TestBuildChannel:
         at_cutoff = build_channel(cfg, grid, users, LOSS)
         assert at_cutoff.subcutoff_subbands == () and at_cutoff.entries[0, 0] != 0
 
+    # the pairwise order of the user sum differs from a plain one from 8 on
+    USER_COUNTS = [1, 4, 8, 9, 32, 129]
+
     @staticmethod
     def _sub_cutoff_grid(num_users):
         # b from 0.3 mm (cutoff ~500 GHz, above the whole band) to 1.5 mm
@@ -87,42 +91,48 @@ class TestBuildChannel:
         users = UserSet(rng.uniform(0.2, 1.5, num_users), rng.uniform(5.0, 20.0, num_users))
         return np.linspace(0.3e-3, 1.5e-3, 7), np.linspace(10e-3, 50e-3, 3), grid, users
 
-    @pytest.mark.parametrize("num_users", [1, 4])
+    @pytest.mark.parametrize("num_users", USER_COUNTS)
     def test_geometry_gains_squared_matches_per_point_channels(self, num_users):
         b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
         gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
         assert gains2.shape == (7, 3, 12)
+        self._assert_per_point_equal(gains2, b_grid, L_grid, grid, users)
+        assert np.all(gains2[0] == 0.0) and np.all(gains2[-1] > 0.0)
+
+    @staticmethod
+    def _assert_per_point_equal(gains2, b_grid, L_grid, grid, users):
         for i, b in enumerate(b_grid):
             for j, L in enumerate(L_grid):
                 point = build_channel(LwaConfig(b, L), grid, users, LOSS)
                 assert np.array_equal(gains2[i, j], point.gains_squared), (b, L)
-        assert np.all(gains2[0] == 0.0) and np.all(gains2[-1] > 0.0)
 
     # a block limit below one b row gives seven one-row blocks; one just
-    # above three rows gives blocks of 3, 3 and 1
+    # above three rows gives blocks of 3, 3 and 1. Each block makes one
+    # gain call per user, in user order.
     @pytest.mark.parametrize("block_rows, blocks", [(0, 7), (3, 3)])
-    @pytest.mark.parametrize("num_users", [1, 4])
+    @pytest.mark.parametrize("num_users", USER_COUNTS)
     def test_gains_blocks_match_per_point_channels(
         self, num_users, block_rows, blocks, monkeypatch
     ):
         b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
-        row_entries = len(L_grid) * grid.num_subbands * num_users
+        row_entries = len(L_grid) * grid.num_subbands  # per user
         monkeypatch.setattr(channel, "GAINS_BLOCK_ENTRIES", block_rows * row_entries + 1)
-        block_sizes = []
+        calls = []
         gain_grid = channel.diffraction_gain_grid
         with monkeypatch.context() as spy:
             spy.setattr(
                 channel,
                 "diffraction_gain_grid",
-                lambda *args: block_sizes.append(len(args[0].plate_separation_b))
-                or gain_grid(*args),
+                lambda config, angles, freqs: calls.append(
+                    (len(config.plate_separation_b), *angles)
+                ) or gain_grid(config, angles, freqs),
             )
             gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
-        assert len(block_sizes) == blocks and sum(block_sizes) == len(b_grid)
-        for i, b in enumerate(b_grid):
-            for j, L in enumerate(L_grid):
-                point = build_channel(LwaConfig(b, L), grid, users, LOSS)
-                assert np.array_equal(gains2[i, j], point.gains_squared), (b, L)
+        rows = max(1, block_rows)
+        sizes = [min(rows, len(b_grid) - start) for start in range(0, len(b_grid), rows)]
+        assert len(sizes) == blocks
+        assert calls == [(size, angle) for size in sizes for angle in users.angles_rad]
+        self._assert_per_point_equal(gains2, b_grid, L_grid, grid, users)
 
     @pytest.mark.parametrize("b_grid, L_grid", [([], [10e-3]), ([1e-3], [])])
     def test_geometry_gains_squared_rejects_empty_grids(self, b_grid, L_grid):
@@ -137,6 +147,39 @@ class TestBuildChannel:
         channel = build_channel(LwaConfig(1e-3, 30e-3), grid, users, LOSS)
         want = np.sum(np.abs(channel.entries) ** 2, axis=1)
         np.testing.assert_allclose(channel.gains_squared, want)
+
+
+class TestPairwiseSum:
+    """channel._pairwise_sum adds arrays in the order np.sum uses over a
+    contiguous axis. These pin that order across its 8 and 128 thresholds,
+    so a numpy whose summation order changes fails here."""
+
+    COUNTS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 255, 256, 257, 300, 1000]
+
+    @pytest.mark.parametrize("n", COUNTS)
+    def test_equals_numpy_sum_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        # mixed signs over 16 decades make every change of order show
+        stack = rng.standard_normal((3, 5, n)) * 10.0 ** rng.uniform(-8, 8, (3, 5, n))
+        terms = (stack[..., k].copy() for k in range(n))
+        got = channel._pairwise_sum(terms, n)
+        assert np.array_equal(got, np.sum(stack, axis=-1))
+
+    @pytest.mark.parametrize("n", [8, 128, 129, 1000])
+    def test_holds_few_terms_at_once(self, n):
+        alive, most = [], []
+
+        def terms():
+            for _ in range(n):
+                most.append(sum(ref() is not None for ref in alive))
+                term = np.ones(2)
+                alive.append(weakref.ref(term))
+                yield term
+                del term  # hold no term here, as geometry_gains_squared does not
+
+        assert np.array_equal(channel._pairwise_sum(terms(), n), [n, n])
+        splits = max(0, math.ceil(math.log2(n / 128)))
+        assert max(most) <= 8 + splits
 
 
 class TestRates:
@@ -350,6 +393,15 @@ class TestValidation:
             UserSet(np.array([math.pi / 2 + 0.1]), np.array([1.0]))
         with pytest.raises(ValueError):
             UserSet(np.array([0.5, 0.6]), np.array([1.0]))
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "3", None])
+    def test_subband_centers_needs_an_integer_count(self, n):
+        with pytest.raises(ValueError, match="integer bin count"):
+            FrequencyGrid.subband_centers(200e9, 800e9, n)
+
+    def test_subband_centers_takes_numpy_integers(self):
+        grid = FrequencyGrid.subband_centers(200e9, 800e9, np.int64(3))
+        assert np.array_equal(grid.frequencies, [300e9, 500e9, 700e9])
 
     def test_noise_model(self):
         with pytest.raises(ValueError):

@@ -215,3 +215,17 @@ def test_optimize_and_beampattern_write_the_same_allocation(tmp_path):
     for name in ("allocation.txt", "trace.csv"):
         written = [(tmp_path / command / name).read_bytes() for command in ("optimize", "beampattern")]
         assert written[0] == written[1]
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path):
+    # main() parses with one parser built at import: a flag given in one call
+    # must not carry into the next, nor may a call change the default ladder
+    ladder = list(cli.DEFAULT_SNR_LADDER_DB)
+    cfg = write_cfg(tmp_path, FAST_CFG.replace("trials = 2", "trials = 3"))
+    for name, extra, trials in [("first", ["--trials", "2"], "2"), ("second", [], "3")]:
+        out = tmp_path / name
+        assert main(["sweep-snr", "--config", cfg, "--out", str(out), "--quiet", *extra]) == 0
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == ladder
+        assert {row.split(",")[-1] for row in rows} == {trials}
+    assert cli.DEFAULT_SNR_LADDER_DB == ladder

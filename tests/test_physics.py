@@ -274,6 +274,13 @@ class TestPlateSeparationAxis:
         out = physics._sinc(z)
         assert np.array_equal(z, before) and out.dtype == z.dtype
 
+    def test_sinc_series_is_not_hidden_by_nan(self):
+        # the series test looks at the smallest magnitude, which NaN must not mask
+        with np.errstate(divide="raise", invalid="raise"):
+            out = physics._sinc(np.array([math.nan, 0.0, 2.0]))
+        assert math.isnan(out[0]) and out[1] == 1.0 and out[2] == math.sin(2.0) / 2.0
+        assert physics._sinc(np.array([])).shape == (0,)
+
 
 class TestBeamPeakFrequency:
     def test_known_value(self):
