@@ -254,21 +254,32 @@ def beampattern(
     Value at (phi, rho) is log10 of sum_n P_n |G(phi, f_n) Gamma(rho, f_n)|^2;
     points where the sum is zero get `floor`. Shape is
     (len(angle_grid), len(range_grid)).
+
+    Only the powered subbands (P_n > 0) enter the map: the sum adds its terms
+    in order of n, and a zero-power term is +0, so leaving it out changes no
+    bit. Raises ValueError if a power is negative or not finite, or if
+    Gamma^2 is not finite at some range (0 * inf would be NaN).
     """
     powers = np.asarray(powers, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
     range_grid = np.asarray(range_grid, dtype=float)
     if powers.size != grid.num_subbands:
         raise ValueError("power vector length must match subband count")
+    if not np.all(np.isfinite(powers)) or np.any(powers < 0):
+        raise ValueError("powers must be finite and >= 0")
     if angle_grid.size == 0 or range_grid.size == 0:
         raise ValueError("angle and range grids must be non-empty")
     if np.any(range_grid <= 0):
         raise ValueError("ranges must be positive")
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        gamma2 = loss.evaluate(range_grid[None, :], grid.frequencies[:, None]) ** 2
+    if not np.all(np.isfinite(gamma2)):
+        raise ValueError("ranges must give a finite Gamma^2")
 
-    freqs = grid.frequencies
+    active = np.flatnonzero(powers)
+    freqs = grid.frequencies[active]
     gains2 = np.square(diffraction_gain_grid(config, angle_grid, freqs))
-    gamma2 = loss.evaluate(range_grid[None, :], freqs[:, None]) ** 2
-    energy = np.einsum("n,na,nr->ar", powers, gains2, gamma2)
+    energy = np.einsum("n,na,nr->ar", powers[active], gains2, gamma2[active])
     return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)
 
 
@@ -292,15 +303,16 @@ def export_beampattern_csv(
             f"energy map of shape {energy_map.shape} does not match the "
             f"{len(angle_deg)} x {len(range_m)} angle x range grid"
         )
-    # One %-format per angle row: joining the row tails with the angle
-    # string gives "ang,rng_0,%.9g\nang,rng_1,%.9g\n..." (the leading ""
+    # One %-format per angle row, in bytes: joining the row tails with the
+    # angle gives b"ang,rng_0,%.9g\nang,rng_1,%.9g\n..." (the leading b""
     # puts the angle before the first tail and keeps an empty range grid
-    # empty). "%.9g" % x equals f"{x:.9g}" for every float.
-    tails = ["", *(f",{rng:.9g},%.9g\n" for rng in range_m)]
-    with open(path, "w", newline="") as fh:
-        fh.write("angle_deg,range_m,log_energy\n")
+    # empty). b"%.9g" % x equals f"{x:.9g}".encode() for every float. The
+    # rows are converted one at a time, so no list of the whole map exists.
+    tails = [b"", *(b",%.9g,%%.9g\n" % rng for rng in range_m)]
+    with open(path, "wb") as fh:
+        fh.write(b"angle_deg,range_m,log_energy\n")
         for ang, row in zip(angle_deg, energy_map):
-            fh.write(f"{ang:.9g}".join(tails) % tuple(row.tolist()))
+            fh.write((b"%.9g" % ang).join(tails) % tuple(row.tolist()))
 
 
 def frequency_bins_near_angle(

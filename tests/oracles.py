@@ -6,7 +6,8 @@ power simplex organized as a max-plus convolution (every grid point is
 considered; the DP only reorders the enumeration), waterfilling solved in
 exact rational arithmetic, a brute-force replay of the alternating
 optimizer's stated updates that never calls the optimizer's own grid
-search or loop, the straightforward per-entry beampattern CSV writer, the
+search or loop, the beampattern map summed over every subband, the
+straightforward per-entry beampattern CSV writer, the
 MIMO rate from a full SVD of every subband matrix, the MIMO tensor from
 one broadcast expression, and the diffraction gain grid evaluated in
 complex arithmetic throughout.
@@ -21,7 +22,7 @@ import numpy as np
 
 from lwacomm.channel import average_sum_rate, build_channel
 from lwacomm.optimizer import waterfill
-from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig
+from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig, diffraction_gain_grid
 
 C_MPF = mp.mpf(299792458)
 
@@ -142,6 +143,19 @@ def replay_alternating(b_grid, L_grid, budget, grid, users, loss, noise, i_max):
         tuple(trace),
         fixed_point,
     )
+
+
+def reference_beampattern(config, grid, powers, loss, angle_grid, range_grid,
+                          floor=-300.0) -> np.ndarray:
+    """The energy map summed over every subband, zero-power ones included."""
+    powers = np.asarray(powers, dtype=float)
+    angle_grid = np.asarray(angle_grid, dtype=float)
+    range_grid = np.asarray(range_grid, dtype=float)
+    freqs = grid.frequencies
+    gains2 = np.square(diffraction_gain_grid(config, angle_grid, freqs))
+    gamma2 = loss.evaluate(range_grid[None, :], freqs[:, None]) ** 2
+    energy = np.einsum("n,na,nr->ar", powers, gains2, gamma2)
+    return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)
 
 
 def reference_export_beampattern_csv(path, angle_grid_rad, range_grid_m, energy_map) -> None:

@@ -1,8 +1,11 @@
 import math
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lwacomm import channel, experiments
 from lwacomm.channel import (
@@ -22,10 +25,15 @@ from lwacomm.channel import (
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, emission_angle
 
-from oracles import hp_average_sum_rate, reference_export_beampattern_csv
+from oracles import (
+    hp_average_sum_rate,
+    reference_beampattern,
+    reference_export_beampattern_csv,
+)
 
 LOSS = InverseRangeLoss()
 NOISE = NoiseModel(1.0)
+FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
 def peak_config_for(angle_rad, frequency):
@@ -274,6 +282,75 @@ class TestBeampattern:
         with pytest.raises(ValueError, match="ranges"):
             beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, self.ANGLES, ranges)
 
+    @pytest.mark.parametrize("bad_power", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    def test_negative_or_non_finite_power_rejected(self, bad_power):
+        # each used to write the floor where 0 * inf or a NaN entered the sum
+        powers = [1.0, bad_power, 0.0, 1.0]
+        with pytest.raises(ValueError, match="powers must be finite and >= 0"):
+            beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, self.RANGES)
+
+    @pytest.mark.parametrize("powers", [[1.0] * 4, [0.0, 1.0, 0.0, 0.0], [0.0] * 4])
+    def test_range_with_non_finite_gamma2_rejected(self, powers):
+        # (1 / 1e-200)^2 overflows: a zero-power subband gave 0 * inf = NaN,
+        # which fails energy > 0 and wrote the floor
+        ranges = np.array([5.0, 1e-200])
+        with pytest.raises(ValueError, match="finite Gamma"):
+            beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, ranges)
+
+    @pytest.mark.parametrize("num_subbands", [40, 256])
+    def test_matches_all_subband_reference_on_default_map(self, monkeypatch, num_subbands):
+        # the 900 x 201 map of the default scenario, seeds 0-9, with the
+        # inputs the experiment passes; the export is skipped
+        powered = []
+
+        def both_maps(*args):
+            got = beampattern(*args)
+            assert got.shape == (900, 201)
+            assert np.array_equal(got, reference_beampattern(*args))
+            powered.append(np.count_nonzero(args[2]))
+            return got
+
+        monkeypatch.setattr(experiments, "beampattern", both_maps)
+        monkeypatch.setattr(experiments, "export_beampattern_csv", lambda *args: None)
+        for seed in range(10):
+            config = experiments.ScenarioConfig(seed=seed, num_subbands=num_subbands)
+            out = tempfile.mkdtemp(dir=self.tmp)
+            experiments.run_beampattern_experiment(config, out, 0.1, 0.1)
+        assert len(powered) == 10
+        assert 0 < min(powered) and max(powered) < num_subbands  # zeros were skipped
+
+    @pytest.fixture(autouse=True)
+    def _tmp(self, tmp_path):
+        self.tmp = tmp_path
+
+    @FUZZ
+    @given(
+        b=st.floats(min_value=0.3e-3, max_value=1.1e-3),
+        n=st.integers(min_value=1, max_value=300),
+        kind=st.sampled_from(["all zero", "one powered", "all powered", "mixed"]),
+        data=st.data(),
+    )
+    def test_matches_all_subband_reference_with_zero_powers(self, b, n, kind, data):
+        # b down to 0.3 mm puts the cutoff inside the band, so some powered
+        # subbands have zero gain
+        power = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+        if kind == "all zero":
+            powers = np.zeros(n)
+        elif kind == "one powered":
+            powers = np.zeros(n)
+            powers[data.draw(st.integers(0, n - 1))] = data.draw(power)
+        elif kind == "all powered":
+            powers = np.array(data.draw(st.lists(power, min_size=n, max_size=n)))
+        else:
+            entry = st.one_of(st.sampled_from([0.0, -0.0]), power)
+            powers = np.array(data.draw(st.lists(entry, min_size=n, max_size=n)))
+        config = LwaConfig(b, 20e-3)
+        grid = FrequencyGrid.subband_centers(200e9, 800e9, n)
+        angles = np.radians(np.arange(1.0, 90.0, 4.0))
+        ranges = np.array([1e-3, 5.0, 12.5, 1e6])
+        args = (config, grid, powers, LOSS, angles, ranges)
+        assert np.array_equal(beampattern(*args), reference_beampattern(*args))
+
     def test_zero_power_hits_floor(self):
         m = beampattern(self.CFG, self.GRID, [0.0] * 4, LOSS, self.ANGLES, self.RANGES)
         assert np.all(m == -300.0)
@@ -355,6 +432,33 @@ class TestBeampattern:
         written = (tmp_path / "out" / "beampattern.csv").read_bytes()
         assert written.count(b"\n") == 1 + 900 * 201
         assert written == (tmp_path / "ref.csv").read_bytes()
+
+    @FUZZ
+    @given(
+        angles=st.lists(st.floats(), max_size=6),
+        ranges=st.lists(st.floats(), max_size=6),
+        data=st.data(),
+    )
+    def test_csv_export_matches_reference_writer_on_any_floats(self, angles, ranges, data):
+        special = st.sampled_from(
+            [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300]
+        )
+        entry = st.one_of(special, st.floats())
+        energy = np.array(
+            data.draw(st.lists(st.lists(entry, min_size=len(ranges), max_size=len(ranges)),
+                               min_size=len(angles), max_size=len(angles))),
+            dtype=float,
+        ).reshape(len(angles), len(ranges))
+        # np.degrees of an angle above 1.8e306 overflows to inf in both writers
+        with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
+            new, ref = Path(tmp, "new.csv"), Path(tmp, "ref.csv")
+            export_beampattern_csv(new, angles, ranges, energy)
+            reference_export_beampattern_csv(ref, angles, ranges, energy)
+            assert new.read_bytes() == ref.read_bytes()
+
+    def test_csv_export_writes_an_empty_range_grid_as_the_header(self, tmp_path):
+        export_beampattern_csv(tmp_path / "map.csv", [0.1, 0.2], [], np.zeros((2, 0)))
+        assert (tmp_path / "map.csv").read_bytes() == b"angle_deg,range_m,log_energy\n"
 
     @pytest.mark.parametrize("shape", [(3, 4), (1, 2), (1, 4)])
     def test_csv_export_rejects_mismatched_map(self, tmp_path, shape):
