@@ -284,21 +284,21 @@ class TestBeampattern:
 
     @pytest.mark.parametrize("bad_power", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
     def test_negative_or_non_finite_power_rejected(self, bad_power):
-        # each used to write the floor where 0 * inf or a NaN entered the sum
         powers = [1.0, bad_power, 0.0, 1.0]
         with pytest.raises(ValueError, match="powers must be finite and >= 0"):
             beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, self.RANGES)
 
     @pytest.mark.parametrize("powers", [[1.0] * 4, [0.0, 1.0, 0.0, 0.0], [0.0] * 4])
     def test_range_with_non_finite_gamma2_rejected(self, powers):
-        # (1 / 1e-200)^2 overflows: a zero-power subband gave 0 * inf = NaN,
-        # which fails energy > 0 and wrote the floor
+        # (1 / 1e-200)^2 overflows to inf, whatever the powers are
         ranges = np.array([5.0, 1e-200])
         with pytest.raises(ValueError, match="finite Gamma"):
             beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, ranges)
 
     @pytest.mark.parametrize("num_subbands", [40, 256])
-    def test_matches_all_subband_reference_on_default_map(self, monkeypatch, num_subbands):
+    def test_matches_all_subband_reference_on_default_map(
+        self, tmp_path, monkeypatch, num_subbands
+    ):
         # the 900 x 201 map of the default scenario, seeds 0-9, with the
         # inputs the experiment passes; the export is skipped
         powered = []
@@ -314,14 +314,9 @@ class TestBeampattern:
         monkeypatch.setattr(experiments, "export_beampattern_csv", lambda *args: None)
         for seed in range(10):
             config = experiments.ScenarioConfig(seed=seed, num_subbands=num_subbands)
-            out = tempfile.mkdtemp(dir=self.tmp)
-            experiments.run_beampattern_experiment(config, out, 0.1, 0.1)
+            experiments.run_beampattern_experiment(config, tmp_path, 0.1, 0.1)
         assert len(powered) == 10
         assert 0 < min(powered) and max(powered) < num_subbands  # zeros were skipped
-
-    @pytest.fixture(autouse=True)
-    def _tmp(self, tmp_path):
-        self.tmp = tmp_path
 
     @FUZZ
     @given(
