@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,15 +23,13 @@ BEAMPATTERN_FLOOR = -300.0  # log10 value reported where the energy sum is zero
 GAINS_BLOCK_ENTRIES = 2**15
 
 
-@dataclass(frozen=True)
 class FrequencyGrid:
     """Ordered center frequencies of the N subbands, in Hz."""
 
-    frequencies: np.ndarray
+    __slots__ = ("frequencies",)
 
-    def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies, dtype=float)
-        object.__setattr__(self, "frequencies", freqs)
+    def __init__(self, frequencies: np.ndarray) -> None:
+        self.frequencies = freqs = np.asarray(frequencies, dtype=float)
         if freqs.ndim != 1 or freqs.size < 1:
             raise ValueError("need at least one frequency")
         if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
@@ -54,18 +52,14 @@ class FrequencyGrid:
         return int(self.frequencies.size)
 
 
-@dataclass(frozen=True)
 class UserSet:
     """K user positions in polar coordinates relative to the antenna."""
 
-    angles_rad: np.ndarray
-    ranges_m: np.ndarray
+    __slots__ = ("angles_rad", "ranges_m")
 
-    def __post_init__(self) -> None:
-        angles = np.atleast_1d(np.asarray(self.angles_rad, dtype=float))
-        ranges = np.atleast_1d(np.asarray(self.ranges_m, dtype=float))
-        object.__setattr__(self, "angles_rad", angles)
-        object.__setattr__(self, "ranges_m", ranges)
+    def __init__(self, angles_rad: np.ndarray, ranges_m: np.ndarray) -> None:
+        self.angles_rad = angles = np.atleast_1d(np.asarray(angles_rad, dtype=float))
+        self.ranges_m = ranges = np.atleast_1d(np.asarray(ranges_m, dtype=float))
         if angles.size < 1 or angles.size != ranges.size:
             raise ValueError("need K >= 1 matching angles and ranges")
         if not np.all(np.isfinite(ranges)) or np.any(ranges <= 0):
@@ -94,19 +88,18 @@ class InverseRangeLoss:
         ).copy()
 
 
-@dataclass(frozen=True)
 class NoiseModel:
     """Per-subband additive Gaussian noise power (linear units)."""
 
-    variance_sigma2: float
+    __slots__ = ("variance_sigma2",)
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.variance_sigma2) and self.variance_sigma2 > 0):
+    def __init__(self, variance_sigma2: float) -> None:
+        if not (math.isfinite(variance_sigma2) and variance_sigma2 > 0):
             raise ValueError("variance_sigma2 must be finite and > 0")
+        self.variance_sigma2 = variance_sigma2
 
 
-@dataclass(frozen=True)
-class ChannelMatrix:
+class ChannelMatrix(NamedTuple):
     """N x K gains; row n is the nth subband channel vector.
 
     subcutoff_subbands lists the subband indices whose frequency fell below

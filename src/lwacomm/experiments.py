@@ -12,8 +12,10 @@ scenario seed, so changing the trial count never perturbs earlier trials.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +69,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
+            if field.type in ("int", int) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ConfigError(f"{field.name} must be an integer, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
         if not (0 < self.f_low_hz < self.f_high_hz):
@@ -252,8 +258,7 @@ def write_allocation(result: AllocationResult, out_dir) -> None:
         fh.write(result.trace_csv())
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     snr_db: float
     mean_lwa: float
     std_lwa: float
@@ -262,8 +267,7 @@ class SweepPoint:
     trials: int
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     points: tuple
 
     def to_csv(self) -> str:

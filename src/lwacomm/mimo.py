@@ -13,7 +13,8 @@ so the baseline's memory is of the order of one block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,19 +38,20 @@ class ZeroChannel(ValueError):
     """A channel with no nonzero entry cannot be normalized."""
 
 
-@dataclass(frozen=True)
 class UlaGeometry:
     """M elements on a line, half-wavelength spaced at the reference
     frequency and centered at the origin."""
 
-    num_elements_M: int
-    reference_frequency_hz: float
+    __slots__ = ("num_elements_M", "reference_frequency_hz")
 
-    def __post_init__(self) -> None:
-        if self.num_elements_M < 1:
-            raise ValueError("num_elements_M must be >= 1")
-        if self.reference_frequency_hz <= 0:
-            raise ValueError("reference_frequency_hz must be > 0")
+    def __init__(self, num_elements_M: int, reference_frequency_hz: float) -> None:
+        m = num_elements_M
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValueError(f"num_elements_M must be an integer >= 1, got {m!r}")
+        if not 0 < reference_frequency_hz < math.inf:  # NaN fails both
+            raise ValueError("reference_frequency_hz must be finite and > 0")
+        self.num_elements_M = num_elements_M
+        self.reference_frequency_hz = reference_frequency_hz
 
     @property
     def spacing_m(self) -> float:

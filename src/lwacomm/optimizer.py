@@ -13,7 +13,7 @@ draw; the optimizer never builds a channel itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,21 +26,19 @@ class AllGainsZero(ValueError):
     """No subband carries positive gain: waterfilling is undefined."""
 
 
-@dataclass(frozen=True)
 class PowerAllocation:
-    """Non-negative per-subband powers under a total budget."""
+    """Finite, non-negative per-subband powers under a finite total budget."""
 
-    powers: np.ndarray
-    total_budget_P: float
+    __slots__ = ("powers", "total_budget_P")
 
-    def __post_init__(self) -> None:
-        powers = np.asarray(self.powers, dtype=float)
-        object.__setattr__(self, "powers", powers)
-        if self.total_budget_P <= 0:
-            raise ValueError("total_budget_P must be > 0")
-        if np.any(powers < 0):
-            raise ValueError("powers must be non-negative")
-        if powers.sum() > self.total_budget_P * (1.0 + BUDGET_RTOL):
+    def __init__(self, powers: np.ndarray, total_budget_P: float) -> None:
+        self.powers = powers = np.asarray(powers, dtype=float)
+        self.total_budget_P = total_budget_P
+        if not 0 < total_budget_P < math.inf:  # NaN fails both
+            raise ValueError("total_budget_P must be finite and > 0")
+        if not np.all(np.isfinite(powers)) or np.any(powers < 0):
+            raise ValueError("powers must be finite and non-negative")
+        if powers.sum() > total_budget_P * (1.0 + BUDGET_RTOL):
             raise ValueError("powers exceed the total budget")
 
     @classmethod
@@ -48,32 +46,26 @@ class PowerAllocation:
         return cls(np.full(n, budget / n), budget)
 
 
-@dataclass(frozen=True)
 class SearchGrids:
     """Uniform geometry search grids, endpoints included."""
 
-    b_grid: np.ndarray
-    L_grid: np.ndarray
+    __slots__ = ("b_grid", "L_grid")
 
-    def __post_init__(self) -> None:
-        b = np.asarray(self.b_grid, dtype=float)
-        L = np.asarray(self.L_grid, dtype=float)
-        object.__setattr__(self, "b_grid", b)
-        object.__setattr__(self, "L_grid", L)
-        if b.size == 0 or L.size == 0:
+    def __init__(self, b_grid: np.ndarray, L_grid: np.ndarray) -> None:
+        self.b_grid = np.asarray(b_grid, dtype=float)
+        self.L_grid = np.asarray(L_grid, dtype=float)
+        if self.b_grid.size == 0 or self.L_grid.size == 0:
             raise ValueError("grids must be non-empty")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     iteration: int
     b_m: float
     L_m: float
     rate_bits: float
 
 
-@dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(NamedTuple):
     """Outcome of the alternating optimization.
 
     stop_reason is "fixed_point" when geometry and powers reproduced

@@ -5,13 +5,13 @@ through a slit of length L. Each frequency component is radiated at its own
 azimuth angle (the "THz rainbow"), with a sinc-shaped diffraction pattern
 whose width shrinks as the slit grows.
 
-All functions here are pure, and configs are frozen dataclasses.
+All functions here are pure. LwaConfig is a plain class that checks its
+fields when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class CutoffViolation(ValueError):
     evanescent and no propagating emission angle exists."""
 
 
-@dataclass(frozen=True)
 class LwaConfig:
     """Antenna geometry: plate separation b and slit length L, in meters.
 
@@ -37,11 +36,14 @@ class LwaConfig:
     (J, N, K) block per b. Every field must be finite.
     """
 
-    plate_separation_b: float | np.ndarray
-    slit_length_L: float | np.ndarray
+    __slots__ = ("plate_separation_b", "slit_length_L")
 
-    def __post_init__(self) -> None:
-        for name in ("plate_separation_b", "slit_length_L"):
+    def __init__(
+        self, plate_separation_b: float | np.ndarray, slit_length_L: float | np.ndarray
+    ) -> None:
+        self.plate_separation_b = plate_separation_b
+        self.slit_length_L = slit_length_L
+        for name in self.__slots__:
             value = getattr(self, name)
             if not np.all(np.isfinite(value)) or np.any(value <= 0):
                 raise ValueError(f"{name} must be finite and > 0")

@@ -64,6 +64,7 @@ def stub_run(monkeypatch, correct):
             "metrics": {"ops_per_s": {"value": 3.0}}}
 
     def run(cmd, **kwargs):
+        assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
         stdout = "ops: 5\n" + json.dumps(line) + "\n"
         return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="check failed: op 3\n")
 

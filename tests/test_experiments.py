@@ -118,6 +118,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "name",
+        ["num_subbands", "num_users", "b_grid_points", "slit_grid_points",
+         "max_iterations", "mimo_elements", "seed", "trials"],
+    )
+    def test_int_fields_reject_non_integers(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+
     # a negative reference frequency, and one so low that the ULA's aperture
     # is wider than the users' range
     @pytest.mark.parametrize("f_ref", [-5.0, 1e-300])

@@ -44,6 +44,18 @@ class TestGeometry:
         with pytest.raises(ValueError):
             UlaGeometry(4, 0.0)
 
+    # 2.5 elements would give 3 positions but an aperture of 1.5 spacings, a
+    # NaN frequency NaN positions, and an infinite one 8 coincident elements
+    @pytest.mark.parametrize(
+        "args", [(2.5, 500e9), (True, 500e9), (8, math.nan), (8, math.inf)]
+    )
+    def test_non_integer_count_and_non_finite_frequency_rejected(self, args):
+        with pytest.raises(ValueError, match="must be"):
+            UlaGeometry(*args)
+
+    def test_numpy_integer_count_accepted(self):
+        assert UlaGeometry(np.int64(8), 500e9).element_positions.size == 8
+
 
 class TestBuildChannel:
     def test_single_element_is_range_loss(self):

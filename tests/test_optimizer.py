@@ -314,6 +314,15 @@ class TestPowerAllocation:
         with pytest.raises(ValueError):
             PowerAllocation(np.array([0.5]), 0.0)
 
+    @pytest.mark.parametrize(
+        "powers, budget",
+        [([1.0], math.nan), ([1.0], math.inf), ([math.nan, 1.0], 2.0)],
+        ids=["nan-budget", "inf-budget", "nan-power"],
+    )
+    def test_non_finite_rejected(self, powers, budget):
+        with pytest.raises(ValueError, match="must be finite"):
+            PowerAllocation(np.array(powers), budget)
+
     def test_uniform(self):
         alloc = PowerAllocation.uniform(4, 10.0)
         np.testing.assert_allclose(alloc.powers, 2.5)

@@ -7,9 +7,10 @@
 Exports both revisions with `git archive` into a temporary directory and
 runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
 from each export, so each side measures its own committed files with its
-own benchmark code. Pair i uses seed first_seed + i on both sides, and the
-side that runs first alternates from pair to pair. Workloads and the run
-length default to those of BENCHMARK.json.
+own benchmark code, with PYTHONDONTWRITEBYTECODE=1. Pair i uses seed
+first_seed + i on both sides, and the side that runs first alternates from
+pair to pair. Workloads and the run length default to those of
+BENCHMARK.json.
 
 Writes BENCH_<N>.json at the repository root after every pair: both SHAs,
 every run's metrics, each side's median and quartiles per metric and
@@ -33,6 +34,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# Set in every run's environment. With bytecode writing on, a side's first run
+# would compile src/ into a cache that its later runs import without
+# compiling; off, every run's import pays the compile, as setup_s counts it.
+RUN_ENV = {"PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def git(*args: str) -> str:
@@ -56,7 +61,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(
+        cmd, cwd=checkout, env={**os.environ, **RUN_ENV}, capture_output=True, text=True
+    )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(
@@ -130,7 +137,10 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "pairs": args.pairs,
         "first_seed": args.first_seed,
-        "host": {"machine": platform.machine(), "cpus": os.cpu_count(), "python": platform.python_version()},
+        "host": {
+            "machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version(), "env": RUN_ENV,
+        },
         "workloads": {w: {"runs": []} for w in workloads},
     }
 
