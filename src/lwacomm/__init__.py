@@ -30,10 +30,10 @@ from .optimizer import (
     waterfill,
 )
 from .mimo import (
-    MimoChannelTensor,
     UlaGeometry,
     ZeroChannel,
     build_mimo_channel,
+    mimo_spectrum,
     mimo_sum_rate,
     normalize_to_lwa,
 )

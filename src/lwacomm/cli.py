@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: optimize, beampattern, sweep-snr, compare-mimo. Exit codes:
-0 success, 2 config validation failure or an --out that cannot be written,
-3 numerical failure. A numpy overflow, division by zero or invalid
-operation during a command is a numerical failure, not a warning.
+0 success, 2 config validation failure (a config too large to allocate
+included) or an --out that cannot be written, 3 numerical failure. A numpy
+overflow, division by zero or invalid operation during a command is a
+numerical failure, not a warning.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         config = _load_scenario(args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     handler = {
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
         os.makedirs(args.out, exist_ok=True)  # an unusable --out fails before any work
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             handler(args, config)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:  # numpy names the size it could not allocate
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

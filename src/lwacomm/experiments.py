@@ -69,10 +69,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.type in ("int", int) and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ConfigError(f"{field.name} must be an integer, got {value!r}")
+            kind = numbers.Integral if field.type in ("int", int) else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigError(f"{field.name} must be {noun}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
         if not (0 < self.f_low_hz < self.f_high_hz):
@@ -144,9 +144,9 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a flat key=value UTF-8 config file; unknown keys and text that
-    is not UTF-8 are errors."""
-    overrides = {}
+    """Parse a flat key=value UTF-8 config file; unknown or repeated keys
+    and text that is not UTF-8 are errors."""
+    overrides, key_lines = {}, {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -161,6 +161,9 @@ def load_config(path) -> ScenarioConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {key_lines[key]}")
+        key_lines[key] = lineno
         caster = int if _CONFIG_TYPES[key] in ("int", int) else float
         try:
             overrides[key] = caster(value)
@@ -208,9 +211,9 @@ def paired_rates(config: ScenarioConfig, trial: int, budget: float):
     lwa_channel = build_channel(
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
-    tensor = build_mimo_channel(ula, grid, users)
-    tensor = normalize_to_lwa(tensor, lwa_channel)
-    mimo_rate = mimo_sum_rate(tensor, budget, config.noise())
+    spectrum = build_mimo_channel(ula, grid, users)
+    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa_channel.entries))))
+    mimo_rate = mimo_sum_rate(spectrum, factor, budget, config.noise())
     return result.sum_rate, mimo_rate, result
 
 

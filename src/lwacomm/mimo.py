@@ -6,21 +6,20 @@ normalized so its largest tap magnitude matches the LWA channel, and the
 sum-rate uses waterfilling pooled over per-subband eigenmodes and
 frequency bins.
 
-Both read only the channel's MimoSpectrum, which build_mimo_channel takes
-in one pass over blocks of subbands without keeping the N x K x M entries,
-so the baseline's memory is of the order of one block.
+Both read only the channel's MimoSpectrum and one scalar factor. The
+spectrum is taken in one pass over blocks of subbands without keeping the
+N x K x M entries, so the baseline's memory is of the order of one block.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelMatrix, FrequencyGrid, NoiseModel, UserSet, rate_bits
+from .channel import FrequencyGrid, NoiseModel, UserSet, rate_bits
 from .optimizer import waterfill
 from .physics import SPEED_OF_LIGHT
 
@@ -90,28 +89,38 @@ class _LineOfSight:
 class MimoSpectrum(NamedTuple):
     """An N x K x M channel H as the normalization and the rate read it: the
     largest |entry| of H; per subband H_n, its largest real or imaginary
-    part p_n; and the ascending eigenvalues of the Gram matrix of H_n / p_n
-    on its short side, shape (N, min(K, M))."""
+    part p_n; the ascending eigenvalues of the Gram matrix of H_n / p_n
+    on its short side, shape (N, min(K, M)); and the source H was read
+    from, an explicit array or a block source (see mimo_spectrum)."""
 
     peak: float
     subband_peaks: np.ndarray
     eigenvalues: np.ndarray
+    source: object
+
+    @property
+    def entries(self) -> np.ndarray:
+        """H: the explicit array, or rebuilt whole from the block source on
+        every access (only the SVD fallback of mimo_sum_rate and tests read
+        it)."""
+        source = self.source
+        return source if isinstance(source, np.ndarray) else source[:]
 
 
-def _spectrum(blocks) -> MimoSpectrum:
-    """The spectrum of blocks (an N x K x M array, or any object with its
-    .shape whose [subbands] gives those subbands' entries), read about
-    GRAM_BLOCK_ENTRIES entries of whole subbands at a time. Each subband is
-    scaled to a largest real or imaginary part of 1 before its Gram is
-    formed, so the Gram cannot underflow or overflow."""
-    n, K, M = blocks.shape
+def mimo_spectrum(entries) -> MimoSpectrum:
+    """The spectrum of entries (an N x K x M array, or any block source: an
+    object with its .shape whose [subbands] gives those subbands' entries),
+    read about GRAM_BLOCK_ENTRIES entries of whole subbands at a time. Each
+    subband is scaled to a largest real or imaginary part of 1 before its
+    Gram is formed, so the Gram cannot underflow or overflow."""
+    n, K, M = entries.shape
     step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
     peak = 0.0
     subband_peaks = np.empty(n)
     eigs = np.empty((n, min(K, M)))
     for start in range(0, n, step):
         subbands = slice(start, start + step)
-        block = np.ascontiguousarray(blocks[subbands])
+        block = np.ascontiguousarray(entries[subbands])
         peak = np.maximum(peak, np.abs(block).max())  # not max(): a nan must propagate
         scale = np.abs(block.view(float)).max(axis=(1, 2))
         inv_scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
@@ -120,49 +129,18 @@ def _spectrum(blocks) -> MimoSpectrum:
             wide = wide.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
         subband_peaks[subbands] = scale
         eigs[subbands] = np.linalg.eigvalsh(wide @ wide.conj().swapaxes(-1, -2))
-    return MimoSpectrum(float(peak), subband_peaks, eigs)
-
-
-class MimoChannelTensor:
-    """The channel normalization_factor * H, H an N x K x M complex tensor.
-
-    MimoChannelTensor(entries[, normalization_factor]) wraps an explicit H.
-    A tensor from build_mimo_channel holds only the element-user distances
-    and the frequencies, and .entries rebuilds its H on every access (only
-    the SVD fallback of mimo_sum_rate and tests read it). .spectrum is H's
-    MimoSpectrum, read once and shared with the tensors normalize_to_lwa
-    derives from this one.
-    """
-
-    def __init__(self, entries, normalization_factor: float = 1.0):
-        self._blocks = entries
-        self.normalization_factor = normalization_factor
-
-    @property
-    def entries(self) -> np.ndarray:
-        blocks = self._blocks
-        return blocks if isinstance(blocks, np.ndarray) else blocks[:]
-
-    @cached_property
-    def spectrum(self) -> MimoSpectrum:
-        return _spectrum(self._blocks)
-
-
-def _tensor(blocks, normalization_factor: float, spectrum: MimoSpectrum) -> MimoChannelTensor:
-    tensor = MimoChannelTensor(blocks, normalization_factor)
-    tensor.spectrum = spectrum
-    return tensor
+    return MimoSpectrum(float(peak), subband_peaks, eigs, entries)
 
 
 def build_mimo_channel(
     geometry: UlaGeometry, grid: FrequencyGrid, users: UserSet
-) -> MimoChannelTensor:
+) -> MimoSpectrum:
     """Exact-distance LoS channel: entry (n,k,m) = (1/d_km) exp(-j 2 pi f_n d_km / c).
 
     d_km is the element-to-user Euclidean distance, so near-field curvature
     is captured. Users must lie outside the array (range > aperture/2). The
     spectrum is read here, in one pass over blocks of subbands; the
-    N x K x M entries are never held at once.
+    N x K x M entries are never held at once, and .entries rebuilds them.
     """
     if np.any(users.ranges_m <= geometry.aperture_m / 2.0):
         raise ValueError("user ranges must exceed half the array aperture")
@@ -171,22 +149,15 @@ def build_mimo_channel(
     uy = users.ranges_m * np.sin(users.angles_rad)
     pos = geometry.element_positions
     dist = np.sqrt((ux[:, None] - pos[None, :]) ** 2 + uy[:, None] ** 2)  # K x M
-    los = _LineOfSight(dist, grid.frequencies)
-    return _tensor(los, 1.0, _spectrum(los))
+    return mimo_spectrum(_LineOfSight(dist, grid.frequencies))
 
 
-def normalize_to_lwa(
-    tensor: MimoChannelTensor, lwa_channel: ChannelMatrix
-) -> MimoChannelTensor:
-    """Set the normalization so the channel's max tap magnitude matches the
-    LWA channel's. The entries and the spectrum are shared, not copied."""
-    mimo_max = tensor.normalization_factor * tensor.spectrum.peak
-    lwa_max = float(np.max(np.abs(lwa_channel.entries)))
-    if mimo_max == 0.0 or lwa_max == 0.0:
+def normalize_to_lwa(spectrum: MimoSpectrum, lwa_peak: float) -> float:
+    """The normalization factor that scales the channel's max tap magnitude
+    to lwa_peak, the LWA channel's."""
+    if spectrum.peak == 0.0 or lwa_peak == 0.0:
         raise ZeroChannel("cannot normalize a channel with all-zero entries")
-    return _tensor(
-        tensor._blocks, tensor.normalization_factor * (lwa_max / mimo_max), tensor.spectrum
-    )
+    return lwa_peak / spectrum.peak
 
 
 def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):
@@ -196,19 +167,19 @@ def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):
 
 
 def mimo_sum_rate(
-    tensor: MimoChannelTensor, budget_P: float, noise: NoiseModel
+    spectrum: MimoSpectrum, factor: float, budget_P: float, noise: NoiseModel
 ) -> float:
     """Spatial-spectral waterfilling rate, bits per channel use.
 
     Pools the squared singular values of every subband matrix H_n of the
-    channel normalization_factor * entries as parallel channels,
-    waterfills the budget across the pool, and averages the resulting rates
-    over the N subbands (channel.rate_bits, which raises FloatingPointError
+    channel factor * spectrum.entries as parallel channels, waterfills the
+    budget across the pool, and averages the resulting rates over the N
+    subbands (channel.rate_bits, which raises FloatingPointError
     if the rate is not finite).
 
     The squared singular values are taken from the spectrum: the
     eigenvalues of the r x r Gram matrix of H_n / p_n on its short side
-    (r = min(K, M)), times (normalization_factor * p_n)^2. Those below
+    (r = min(K, M)), times (factor * p_n)^2. Those below
     tau * lambda_max(n), tau = r * eps / GRAM_RTOL, are not resolved and
     enter the waterfill as 0. If the water level shows that one of them
     could still have been active, the pool is recomputed from the SVD of
@@ -217,7 +188,6 @@ def mimo_sum_rate(
     """
     if budget_P <= 0:
         raise ValueError("budget_P must be > 0")
-    spectrum, factor = tensor.spectrum, tensor.normalization_factor
     tau = spectrum.eigenvalues.shape[1] * np.finfo(float).eps / GRAM_RTOL
     sigma2 = noise.variance_sigma2
 
@@ -231,7 +201,7 @@ def mimo_sum_rate(
     level = alloc.powers[active] + sigma2 / pooled.flat[active]
     if np.any(sigma2 / level < tau * lam_max[unresolved.any(axis=1)]):
         # an unresolved mode's floor may lie below the water level
-        entries = tensor.entries
+        entries = spectrum.entries
         _, K, M = entries.shape
         tall = entries if K > M else entries.swapaxes(-1, -2)
         svals = np.linalg.svd(tall, compute_uv=False)

@@ -43,6 +43,8 @@ class PowerAllocation:
 
     @classmethod
     def uniform(cls, n: int, budget: float) -> "PowerAllocation":
+        if n < 1:
+            raise ValueError(f"need at least one subband, got {n}")
         return cls(np.full(n, budget / n), budget)
 
 

@@ -169,14 +169,14 @@ def reference_export_beampattern_csv(path, angle_grid_rad, range_grid_m, energy_
                 fh.write(f"{ang:.9g},{rng:.9g},{energy_map[i, j]:.9g}\n")
 
 
-def svd_mimo_rate(tensor, budget_P, noise) -> float:
+def svd_mimo_rate(entries, budget_P, noise) -> float:
     """Pooled-eigenmode waterfilling rate from the squared singular values
-    of every subband matrix of tensor.entries (the normalization factor is
-    not applied: pass the normalized entries)."""
+    of every subband matrix of the N x K x M entries (pass the normalized
+    entries)."""
     if budget_P <= 0:
         raise ValueError("budget_P must be > 0")
-    n_subbands = tensor.entries.shape[0]
-    svals = np.linalg.svd(tensor.entries, compute_uv=False)  # N x min(K, M)
+    n_subbands = entries.shape[0]
+    svals = np.linalg.svd(entries, compute_uv=False)  # N x min(K, M)
     pooled = (svals ** 2).ravel()
     alloc = waterfill(pooled, budget_P, noise)
     rates = np.log2(1.0 + alloc.powers * pooled / noise.variance_sigma2)

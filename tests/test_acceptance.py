@@ -33,8 +33,8 @@ from lwacomm.experiments import (
     sample_users,
 )
 from lwacomm.mimo import (
-    MimoChannelTensor,
     build_mimo_channel,
+    mimo_spectrum,
     mimo_sum_rate,
     normalize_to_lwa,
 )
@@ -225,7 +225,7 @@ def test_criterion_7_sum_rate_comparison_shape():
 def test_criterion_7_low_snr_ratio_limit():
     # As SNR -> 0 both waterfills put the whole budget on their single best
     # channel, so mimo/lwa -> max_n sigma_1^2(H_n) / max_n ||h_n||^2, with the
-    # normalized MIMO tensor and the LWA geometry chosen at that SNR.
+    # normalized MIMO channel and the LWA geometry chosen at that SNR.
     cfg = ScenarioConfig()
     budget = _snr_budget(cfg, -80.0)
     grid = cfg.frequency_grid()
@@ -234,8 +234,8 @@ def test_criterion_7_low_snr_ratio_limit():
         lwa_rate, mimo_rate, result = paired_rates(cfg, trial, budget)
         users = sample_users(cfg, trial)
         lwa = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
-        tensor = normalize_to_lwa(build_mimo_channel(cfg.ula(), grid, users), lwa)
-        channel = tensor.normalization_factor * tensor.entries
+        spectrum = build_mimo_channel(cfg.ula(), grid, users)
+        channel = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa.entries)))) * spectrum.entries
         sigma1 = np.linalg.svd(channel, compute_uv=False)[:, 0]
         limit = float(np.max(sigma1 ** 2) / np.max(lwa.gains_squared))
         assert mimo_rate / lwa_rate == pytest.approx(limit, rel=1e-6), trial
@@ -251,9 +251,9 @@ def test_criterion_8_mimo_oracle_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(10):
         entries = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-        tensor = MimoChannelTensor(entries)
+        spectrum = mimo_spectrum(entries)
         budget = 1.0
-        got = mimo_sum_rate(tensor, budget, NOISE)
+        got = mimo_sum_rate(spectrum, 1.0, budget, NOISE)
         pooled = (np.linalg.svd(entries, compute_uv=False) ** 2).ravel()
         best = simplex_grid_best_rate(pooled, budget, 1.0, 100) * pooled.size / 2
         assert got == pytest.approx(best, abs=1e-4)

@@ -59,6 +59,16 @@ def test_median_gap_exceeds_parent_iqr(metric, shift, exceeds):
     assert entry["median_gap_exceeds_parent_iqr"] is exceeds
 
 
+def test_src_lines_counts_python_files_under_src_only(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3")  # no final newline
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not\ncode\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "c.py").write_text("w = 4\n")
+    assert bench_pairs.src_lines(tmp_path) == 4
+
+
 def stub_run(monkeypatch, correct):
     line = {"correct": correct, "attempted": 5, "failed": 0 if correct else 2,
             "metrics": {"ops_per_s": {"value": 3.0}}}

@@ -109,6 +109,26 @@ def test_floors_equal_within_rounding_are_allocated(tmp_path):
     assert all(math.isfinite(rate) and rate >= 0 for rate in rates)
 
 
+def test_repeated_key_exits_2(tmp_path, capsys):
+    # the last seed used to win, and the run exited 0
+    cfg = write_cfg(tmp_path, FAST_CFG + "seed = 4\n")
+    first = FAST_CFG.splitlines().index("seed = 42") + 1
+    second = len(FAST_CFG.splitlines()) + 1
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert f"{cfg}:{second}: key 'seed' repeats line {first}" in err
+
+
+def test_config_too_large_to_allocate_exits_2(tmp_path, capsys):
+    # the (B, L, N) gains array would take 291 TiB, beyond any address
+    # space, so numpy fails at once; the MemoryError used to exit 1
+    cfg = write_cfg(tmp_path, "b_grid_points = 1000000\nslit_grid_points = 1000000\n")
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: Unable to allocate 291. TiB")
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["optimize", "--config", str(tmp_path / "nope.cfg")]) == 2
 

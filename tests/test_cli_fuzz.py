@@ -11,12 +11,17 @@ from hypothesis import given, settings, strategies as st
 from lwacomm.cli import main
 
 # a scenario inside each field's physical range, then up to two float fields
-# replaced by any finite float, so that both the validation paths and the
-# numerical paths get exercised
+# replaced by any finite float and up to two count fields by a small integer
+# (0 and negatives included), so that both the validation paths and the
+# numerical paths get exercised while every run stays in milliseconds
 FLOAT_FIELDS = [
     "f_low_hz", "f_high_hz", "angle_min_deg", "angle_max_deg", "range_min_m",
     "range_max_m", "power_budget", "noise_variance", "b_min_m", "b_max_m",
     "slit_min_m", "slit_max_m", "mimo_ref_frequency_hz",
+]
+COUNT_FIELDS = [
+    "num_subbands", "num_users", "b_grid_points", "slit_grid_points",
+    "max_iterations", "mimo_elements", "trials",
 ]
 
 
@@ -47,6 +52,9 @@ def scenarios(draw):
         st.sampled_from(FLOAT_FIELDS),
         st.floats(allow_nan=False, allow_infinity=False),
         max_size=2,
+    )))
+    scenario.update(draw(st.dictionaries(
+        st.sampled_from(COUNT_FIELDS), st.integers(-2, 12), max_size=2
     )))
     return scenario
 

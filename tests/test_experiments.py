@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -97,6 +97,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_repeated_key_rejected(self, tmp_path):
+        # the last of a repeated key used to win without a word
+        path = tmp_path / "scenario.cfg"
+        path.write_text("seed = 3\n# a comment\nnum_users = 2\nseed = 4\n")
+        with pytest.raises(ConfigError, match=r":4: key 'seed' repeats line 1$"):
+            load_config(path)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -127,6 +134,20 @@ class TestConfig:
     def test_int_fields_reject_non_integers(self, name, value):
         with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
             ScenarioConfig(**{name: value})
+
+    # True used to pass as 1.0; a string or a complex raised TypeError
+    @pytest.mark.parametrize("value", [True, "10", 1 + 0j])
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(ScenarioConfig) if f.type in ("float", float)],
+    )
+    def test_float_fields_reject_non_reals(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be a real number"):
+            ScenarioConfig(**{name: value})
+
+    def test_float_fields_accept_ints_and_numpy_floats(self):
+        config = ScenarioConfig(power_budget=5, noise_variance=np.float64(0.5))
+        assert (config.power_budget, config.noise_variance) == (5, 0.5)
 
     # a negative reference frequency, and one so low that the ULA's aperture
     # is wider than the users' range

@@ -1,7 +1,7 @@
 """Golden MIMO baseline rates, compared bitwise.
 
 Each trial's geometry is the one the LWA optimizer chooses at the default
-power budget. The MIMO tensor is built for that trial's user draw,
+power budget. The MIMO channel is built for that trial's user draw,
 normalized once to the LWA channel at that geometry, and rated at every
 budget of the trial's set:
 
@@ -51,13 +51,14 @@ def snapshot(config: ScenarioConfig, trial: int, snr_points) -> dict:
     lwa = build_channel(
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
-    tensor = normalize_to_lwa(build_mimo_channel(config.ula(), grid, users), lwa)
+    spectrum = build_mimo_channel(config.ula(), grid, users)
+    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa.entries))))
     noise = config.noise()
     return {
         "trial": trial,
-        "factor": float(tensor.normalization_factor).hex(),
+        "factor": float(factor).hex(),
         "rates": [
-            mimo_sum_rate(tensor, budget_of(config, snr_db), noise).hex()
+            mimo_sum_rate(spectrum, factor, budget_of(config, snr_db), noise).hex()
             for snr_db in snr_points
         ],
     }

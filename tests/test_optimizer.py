@@ -327,6 +327,12 @@ class TestPowerAllocation:
         alloc = PowerAllocation.uniform(4, 10.0)
         np.testing.assert_allclose(alloc.powers, 2.5)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_uniform_rejects_an_empty_count(self, n):
+        # n = 0 used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match="at least one subband"):
+            PowerAllocation.uniform(n, 1.0)
+
     def test_search_grid_validation(self):
         with pytest.raises(ValueError):
             SearchGrids(np.array([]), np.array([1e-2]))

@@ -43,7 +43,12 @@ VALUE_TYPES = [
     (UlaGeometry, {"num_elements_M": 8, "reference_frequency_hz": 5e11}),
     (
         MimoSpectrum,
-        {"peak": 2.0, "subband_peaks": np.array([1.0, 2.0]), "eigenvalues": np.ones((2, 1))},
+        {
+            "peak": 2.0,
+            "subband_peaks": np.array([1.0, 2.0]),
+            "eigenvalues": np.ones((2, 1)),
+            "source": np.full((2, 1, 1), 2.0 + 0j),
+        },
     ),
     (
         SweepPoint,

@@ -13,8 +13,9 @@ pair to pair. Workloads and the run length default to those of
 BENCHMARK.json.
 
 Writes BENCH_<N>.json at the repository root after every pair: both SHAs,
-every run's metrics, each side's median and quartiles per metric and
-workload, and how many pairs each side won. A pair is won by the side whose
+each side's src/ line count (the lines of src/**/*.py in its export), every
+run's metrics, each side's median and quartiles per metric and workload,
+and how many pairs each side won. A pair is won by the side whose
 value is better in the direction BENCHMARK.json gives; ties count for
 neither. Standard library only.
 """
@@ -53,6 +54,14 @@ def export(sha: str, dest: Path) -> None:
     with zipfile.ZipFile(archive) as zf:
         zf.extractall(dest)
     archive.unlink()
+
+
+def src_lines(checkout: Path) -> int:
+    """The number of lines of the src/**/*.py files under checkout."""
+    return sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (checkout / "src").rglob("*.py")
+    )
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -148,6 +157,7 @@ def main(argv=None) -> int:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(shas[side], checkouts[side])
+        record["src_lines"] = {side: src_lines(checkouts[side]) for side in SIDES}
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
