@@ -69,11 +69,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            kind = numbers.Integral if field.type in ("int", int) else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is numbers.Integral else "a real number"
+            integral = field.type in ("int", int)
+            if isinstance(value, bool) or not isinstance(
+                value, numbers.Integral if integral else numbers.Real
+            ):
+                noun = "an integer" if integral else "a real number"
                 raise ConfigError(f"{field.name} must be {noun}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
+            # a comparison, not math.isfinite: any real compares, a NaN fails
+            if not integral and not -math.inf < value < math.inf:
                 raise ConfigError(f"{field.name} must be finite, got {value}")
         if not (0 < self.f_low_hz < self.f_high_hz):
             raise ConfigError("need 0 < f_low_hz < f_high_hz")

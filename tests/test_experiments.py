@@ -117,6 +117,8 @@ class TestConfig:
             {"power_budget": math.inf},
             {"mimo_ref_frequency_hz": math.nan},
             {"range_max_m": math.inf},
+            {"power_budget": np.float32("inf")},  # not a float: used to pass
+            {"noise_variance": np.float32("nan")},
             {"f_low_hz": 1e11, "f_high_hz": 100000000000.00002},  # no 40 distinct centers
             {"angle_min_deg": 5e-324, "angle_max_deg": 5e-324},  # 0 rad
         ],
