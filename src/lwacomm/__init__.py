@@ -10,7 +10,6 @@ from .physics import (
     emission_angle,
 )
 from .channel import (
-    ChannelMatrix,
     FrequencyGrid,
     InverseRangeLoss,
     NoiseModel,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,17 +74,15 @@ class UserSet:
 class InverseRangeLoss:
     """Frequency-independent attenuation coefficient Gamma = rho_ref / rho."""
 
+    __slots__ = ("reference_range_m",)
+
     def __init__(self, reference_range_m: float = 1.0):
         if not (math.isfinite(reference_range_m) and reference_range_m > 0):
             raise ValueError("reference_range_m must be finite and > 0")
         self.reference_range_m = reference_range_m
 
-    def evaluate(self, range_m, frequency_hz):
-        range_m = np.asarray(range_m, dtype=float)
-        return np.broadcast_to(
-            self.reference_range_m / range_m,
-            np.broadcast_shapes(np.shape(range_m), np.shape(frequency_hz)),
-        ).copy()
+    def evaluate(self, range_m):
+        return self.reference_range_m / np.asarray(range_m, dtype=float)
 
 
 class NoiseModel:
@@ -99,38 +96,16 @@ class NoiseModel:
         self.variance_sigma2 = variance_sigma2
 
 
-class ChannelMatrix(NamedTuple):
-    """N x K gains; row n is the nth subband channel vector.
-
-    subcutoff_subbands lists the subband indices whose frequency fell below
-    the waveguide cutoff; their rows are zero rather than an error so the
-    optimizer can traverse geometry grids containing near-cutoff b values.
-    """
-
-    entries: np.ndarray
-    subcutoff_subbands: tuple = ()
-
-    @property
-    def gains_squared(self) -> np.ndarray:
-        """Per-subband squared channel norms ||h_n||^2, length N."""
-        return np.sum(np.abs(self.entries) ** 2, axis=1)
-
-
 def build_channel(
     config: LwaConfig,
     grid: FrequencyGrid,
     users: UserSet,
     loss: InverseRangeLoss,
-) -> ChannelMatrix:
-    """Assemble the N x K channel: entry (n,k) = G(phi_k, f_n) * Gamma(rho_k, f_n).
-
-    Sub-cutoff subbands get zero gain and are reported in subcutoff_subbands.
-    """
-    freqs = grid.frequencies
-    gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
-    entries = diffraction_gain_grid(config, users.angles_rad, freqs) * gamma
-    subcutoff = np.nonzero(freqs < config.cutoff_frequency)[0]
-    return ChannelMatrix(entries, tuple(int(n) for n in subcutoff))
+) -> np.ndarray:
+    """The float64 N x K channel, entry (n, k) = G(phi_k, f_n) * Gamma(rho_k).
+    Subbands below the cutoff get zero rows rather than an error."""
+    gains = diffraction_gain_grid(config, users.angles_rad, grid.frequencies)
+    return gains * loss.evaluate(users.ranges_m)
 
 
 def _pairwise_sum(terms, n: int) -> np.ndarray:
@@ -174,30 +149,30 @@ def geometry_gains_squared(
 ) -> np.ndarray:
     """||h_n||^2 for every geometry of the b x L search grid, shape (B, L, N).
 
-    Entry [i, j] equals build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
-    users, loss).gains_squared bitwise, so subbands below that geometry's
-    cutoff are zero. The b rows go in blocks of at most GAINS_BLOCK_ENTRIES
-    entries per user (at least one row), and each block is built user by
-    user: one diffraction_gain_grid call gives a user's contiguous
-    (rows, L, N) gains, which are scaled and squared in place and folded
-    into the sum as they come, in the pairwise order of np.sum over a user
-    axis. The norms do not depend on the powers: one array per user draw
-    serves every step of the alternating optimization. Raises ValueError if
-    either grid is empty.
+    Entry [i, j] equals np.sum(np.abs(h) ** 2, axis=1) bitwise for the
+    channel h = build_channel(LwaConfig(b_grid[i], L_grid[j]), grid, users,
+    loss), so subbands below that geometry's cutoff are zero. The b rows go
+    in blocks of at most GAINS_BLOCK_ENTRIES entries per user (at least one
+    row), each built user by user: one diffraction_gain_grid call gives a
+    user's contiguous (rows, L, N) gains, which are scaled and squared in
+    place and folded into the sum as they come, in the pairwise order of
+    np.sum over a user axis. The norms do not depend on the powers: one
+    array per user draw serves every step of the alternating optimization.
+    Raises ValueError if either grid is empty.
     """
     b_grid = np.asarray(b_grid, dtype=float)
     slits = np.asarray(L_grid, dtype=float)[:, None, None]
     if b_grid.size == 0 or slits.size == 0:
         raise ValueError("grids must be non-empty")
     freqs = grid.frequencies
-    gamma = loss.evaluate(users.ranges_m[None, :], freqs[:, None])
+    gamma = loss.evaluate(users.ranges_m)
     angles = users.angles_rad
     out = np.empty((b_grid.size, slits.shape[0], freqs.size))
     rows = max(1, GAINS_BLOCK_ENTRIES // (slits.shape[0] * freqs.size))
 
     def user_gains(config, k):
         gains = diffraction_gain_grid(config, angles[k:k + 1], freqs)
-        gains *= gamma[:, k:k + 1]
+        gains *= gamma[k]
         return np.square(gains, out=gains)  # the gain is real: |x|^2 = x*x bitwise
 
     for start in range(0, b_grid.size, rows):
@@ -219,11 +194,14 @@ def rate_bits(powers, gains2, noise: NoiseModel, num_subbands: int) -> float:
     return rate
 
 
-def average_sum_rate(channel: ChannelMatrix, powers, noise: NoiseModel) -> float:
-    """Mean over subbands of log2(1 + P_n/sigma^2 * ||h_n||^2), in bits per
-    channel use. Powers must be >= 0."""
+def average_sum_rate(channel, powers, noise: NoiseModel) -> float:
+    """Mean over the rows h_n of an N x K channel of log2(1 + P_n/sigma^2 *
+    ||h_n||^2), in bits per channel use. Powers must be >= 0."""
+    channel = np.asarray(channel)
+    if channel.ndim != 2:
+        raise ValueError(f"need an N x K channel array, got shape {channel.shape}")
     powers = np.asarray(powers, dtype=float)
-    gains2 = channel.gains_squared
+    gains2 = np.sum(np.abs(channel) ** 2, axis=1)
     if powers.shape != gains2.shape:
         raise ValueError(
             f"power vector length {powers.size} != subband count {gains2.size}"
@@ -240,18 +218,18 @@ def beampattern(
     loss: InverseRangeLoss,
     angle_grid: np.ndarray,
     range_grid: np.ndarray,
-    floor: float = BEAMPATTERN_FLOOR,
 ) -> np.ndarray:
     """Radiated energy map over (angle, range) grid points.
 
-    Value at (phi, rho) is log10 of sum_n P_n |G(phi, f_n) Gamma(rho, f_n)|^2;
-    points where the sum is zero get `floor`. Shape is
+    Value at (phi, rho) is log10 of sum_n P_n |G(phi, f_n) Gamma(rho)|^2;
+    points where the sum is zero get BEAMPATTERN_FLOOR. Shape is
     (len(angle_grid), len(range_grid)).
 
     Only the powered subbands (P_n > 0) enter the map: the sum adds its terms
     in order of n, and a zero-power term is +0, so leaving it out changes no
-    bit. Raises ValueError if a power is negative or not finite, or if
-    Gamma^2 is not finite at some range (0 * inf would be NaN).
+    bit. Raises ValueError if a power is negative or not finite, if an
+    angle is not finite, or if Gamma^2 is not finite at some range
+    (0 * inf would be NaN).
     """
     powers = np.asarray(powers, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
@@ -262,18 +240,23 @@ def beampattern(
         raise ValueError("powers must be finite and >= 0")
     if angle_grid.size == 0 or range_grid.size == 0:
         raise ValueError("angle and range grids must be non-empty")
+    if not np.all(np.isfinite(angle_grid)):
+        raise ValueError("angles must be finite")
     if np.any(range_grid <= 0):
         raise ValueError("ranges must be positive")
     with np.errstate(over="ignore"):  # an overflow is rejected just below
-        gamma2 = loss.evaluate(range_grid[None, :], grid.frequencies[:, None]) ** 2
+        gamma2 = loss.evaluate(range_grid) ** 2
     if not np.all(np.isfinite(gamma2)):
         raise ValueError("ranges must give a finite Gamma^2")
 
     active = np.flatnonzero(powers)
     freqs = grid.frequencies[active]
     gains2 = np.square(diffraction_gain_grid(config, angle_grid, freqs))
-    energy = np.einsum("n,na,nr->ar", powers[active], gains2, gamma2[active])
-    return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)
+    # an (active, R) view: with it the einsum sums as over the (N, R) operand
+    gamma2 = np.broadcast_to(gamma2, (active.size, range_grid.size))
+    energy = np.einsum("n,na,nr->ar", powers[active], gains2, gamma2)
+    floor = np.full_like(energy, BEAMPATTERN_FLOOR)
+    return np.log10(energy, out=floor, where=energy > 0.0)
 
 
 def export_beampattern_csv(

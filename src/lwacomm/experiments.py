@@ -219,7 +219,7 @@ def paired_rates(config: ScenarioConfig, trial: int, budget: float):
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
     spectrum = build_mimo_channel(ula, grid, users)
-    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa_channel.entries))))
+    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa_channel))))
     mimo_rate = mimo_sum_rate(spectrum, factor, budget, config.noise())
     return result.sum_rate, mimo_rate, result
 
@@ -231,7 +231,11 @@ def run_beampattern_experiment(
     range_step_m: float = 0.25,
 ) -> AllocationResult:
     """Optimize trial 0's user draw and export the energy map plus the user
-    positions and the allocation report/trace."""
+    positions and the allocation report/trace. Raises ValueError unless
+    both grid steps are finite and > 0, before anything is computed."""
+    for name, step in (("angle_step_deg", angle_step_deg), ("range_step_m", range_step_m)):
+        if not (math.isfinite(step) and step > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {step!r}")
     users = sample_users(config, 0)
     result = optimize_scenario(config, users)
 

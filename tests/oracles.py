@@ -45,6 +45,11 @@ def hp_diffraction_gain(b_m: str, L_m: str, freq_hz: str, angle_rad) -> complex:
         return complex(mp.sin(z) / z)
 
 
+def channel_gains_squared(channel) -> np.ndarray:
+    """Per-subband squared norms ||h_n||^2 of an N x K channel array."""
+    return np.sum(np.abs(channel) ** 2, axis=1)
+
+
 def hp_average_sum_rate(gains_squared, powers, sigma2) -> float:
     """Eq.-style mean rate re-evaluated at 50 decimal digits."""
     with mp.workdps(50):
@@ -131,7 +136,7 @@ def replay_alternating(b_grid, L_grid, budget, grid, users, loss, noise, i_max):
             [[average_sum_rate(ch, powers, noise) for ch in row] for row in channels]
         )
         i, j = np.unravel_index(np.argmax(rates), rates.shape)
-        powers = waterfill(channels[i][j].gains_squared, budget, noise).powers
+        powers = waterfill(channel_gains_squared(channels[i][j]), budget, noise).powers
         trace.append((float(b_grid[i]), float(L_grid[j])))
         if prev is not None and prev[:2] == (i, j) and np.array_equal(prev[2], powers):
             fixed_point = True
@@ -145,17 +150,17 @@ def replay_alternating(b_grid, L_grid, budget, grid, users, loss, noise, i_max):
     )
 
 
-def reference_beampattern(config, grid, powers, loss, angle_grid, range_grid,
-                          floor=-300.0) -> np.ndarray:
-    """The energy map summed over every subband, zero-power ones included."""
+def reference_beampattern(config, grid, powers, loss, angle_grid, range_grid) -> np.ndarray:
+    """The energy map summed over every subband, zero-power ones included,
+    with an (N, R) Gamma^2 operand and -300 where the sum is zero."""
     powers = np.asarray(powers, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
     range_grid = np.asarray(range_grid, dtype=float)
     freqs = grid.frequencies
     gains2 = np.square(diffraction_gain_grid(config, angle_grid, freqs))
-    gamma2 = loss.evaluate(range_grid[None, :], freqs[:, None]) ** 2
+    gamma2 = np.tile(loss.evaluate(range_grid) ** 2, (freqs.size, 1))
     energy = np.einsum("n,na,nr->ar", powers, gains2, gamma2)
-    return np.log10(energy, out=np.full_like(energy, floor), where=energy > 0.0)
+    return np.log10(energy, out=np.full_like(energy, -300.0), where=energy > 0.0)
 
 
 def reference_export_beampattern_csv(path, angle_grid_rad, range_grid_m, energy_map) -> None:

@@ -45,7 +45,7 @@ from lwacomm.physics import (
     emission_angle,
 )
 
-from oracles import replay_alternating, simplex_grid_best_rate
+from oracles import channel_gains_squared, replay_alternating, simplex_grid_best_rate
 
 LOSS = InverseRangeLoss()
 NOISE = NoiseModel(1.0)
@@ -150,7 +150,7 @@ def test_criterion_5_small_instance_global_optimality():
         }
         best, best_geometry, best_powers = -1.0, None, None
         for geometry, ch in channels.items():
-            alloc = waterfill(ch.gains_squared, cfg.power_budget, NOISE)
+            alloc = waterfill(channel_gains_squared(ch), cfg.power_budget, NOISE)
             rate = average_sum_rate(ch, alloc.powers, NOISE)
             if rate > best:
                 best, best_geometry, best_powers = rate, geometry, alloc.powers
@@ -235,9 +235,9 @@ def test_criterion_7_low_snr_ratio_limit():
         users = sample_users(cfg, trial)
         lwa = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
         spectrum = build_mimo_channel(cfg.ula(), grid, users)
-        channel = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa.entries)))) * spectrum.entries
+        channel = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa)))) * spectrum.entries
         sigma1 = np.linalg.svd(channel, compute_uv=False)[:, 0]
-        limit = float(np.max(sigma1 ** 2) / np.max(lwa.gains_squared))
+        limit = float(np.max(sigma1 ** 2) / np.max(channel_gains_squared(lwa)))
         assert mimo_rate / lwa_rate == pytest.approx(limit, rel=1e-6), trial
         limits.append(limit)
     print(

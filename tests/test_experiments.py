@@ -187,6 +187,16 @@ class TestBeampatternExperiment:
         best_angle = near[np.argmax(near[:, 2]), 0]
         assert abs(best_angle - 30.0) <= 1.5
 
+    # a step of 0 used to raise ZeroDivisionError, and a NaN step numpy's
+    # "arange: cannot compute length"
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["angle_step_deg", "range_step_m"])
+    def test_non_positive_or_non_finite_step_rejected(self, tmp_path, name, bad):
+        steps = {"angle_step_deg": 5.0, "range_step_m": 5.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            run_beampattern_experiment(FAST, tmp_path / "out", **steps)
+        assert not (tmp_path / "out").exists()
+
     def test_users_csv_contents(self, tmp_path):
         cfg = replace(FAST, num_users=2)
         run_beampattern_experiment(cfg, tmp_path, angle_step_deg=5.0, range_step_m=5.0)

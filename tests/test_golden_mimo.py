@@ -52,7 +52,7 @@ def snapshot(config: ScenarioConfig, trial: int, snr_points) -> dict:
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
     spectrum = build_mimo_channel(config.ula(), grid, users)
-    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa.entries))))
+    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa))))
     noise = config.noise()
     return {
         "trial": trial,

@@ -123,7 +123,7 @@ class RecordedBlocks:
 def lwa_peak(grid=GRID, users=USERS, b=1e-3, L=20e-3):
     """The largest |entry| of an LWA channel, as paired_rates takes it."""
     channel = build_channel(LwaConfig(b, L), grid, users, InverseRangeLoss())
-    return float(np.max(np.abs(channel.entries)))
+    return float(np.max(np.abs(channel)))
 
 
 class TestNormalization:

@@ -24,7 +24,7 @@ from lwacomm.optimizer import (
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
-from oracles import exact_waterfill, simplex_grid_best_rate
+from oracles import channel_gains_squared, exact_waterfill, simplex_grid_best_rate
 
 NOISE = NoiseModel(1.0)
 LOSS = InverseRangeLoss()
@@ -197,7 +197,7 @@ class TestAlternateOptimize:
         grid, users = make_draw()
         result = alternate_optimize(grids, gains_for(grids, grid, users), 10.0, NOISE, i_max=1)
         channel = build_channel(LwaConfig(1e-3, 20e-3), grid, users, LOSS)
-        want = waterfill(channel.gains_squared, 10.0, NOISE)
+        want = waterfill(channel_gains_squared(channel), 10.0, NOISE)
         np.testing.assert_allclose(result.powers.powers, want.powers, rtol=1e-12)
         assert result.sum_rate == pytest.approx(
             average_sum_rate(channel, want.powers, NOISE)
@@ -223,7 +223,7 @@ class TestAlternateOptimize:
         for b in grids.b_grid:
             for L in grids.L_grid:
                 ch = build_channel(LwaConfig(b, L), grid, users, LOSS)
-                alloc = waterfill(ch.gains_squared, budget, NOISE)
+                alloc = waterfill(channel_gains_squared(ch), budget, NOISE)
                 best = max(best, average_sum_rate(ch, alloc.powers, NOISE))
         return best
 
