@@ -552,5 +552,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             InverseRangeLoss(0.0)
         assert InverseRangeLoss().evaluate(2.0) == 0.5
+        assert not hasattr(InverseRangeLoss(), "__dict__")  # slotted
         got = InverseRangeLoss(3.0).evaluate(np.array([[2.0, 4.0, 12.0]]))
         assert got.shape == (1, 3) and np.array_equal(got, [[1.5, 0.75, 0.25]])
