@@ -41,7 +41,7 @@ class FrequencyGrid:
         """Centers of n equal-width bins covering [f_low, f_high]."""
         if not (0 < f_low < f_high):
             raise ValueError("need 0 < f_low < f_high")
-        if not isinstance(n, numbers.Integral) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"need an integer bin count n >= 1, got {n!r}")
         width = (f_high - f_low) / n
         return cls(f_low + width * (np.arange(n) + 0.5))
@@ -228,8 +228,8 @@ def beampattern(
     Only the powered subbands (P_n > 0) enter the map: the sum adds its terms
     in order of n, and a zero-power term is +0, so leaving it out changes no
     bit. Raises ValueError if a power is negative or not finite, if an
-    angle is not finite, or if Gamma^2 is not finite at some range
-    (0 * inf would be NaN).
+    angle lies outside (0, pi/2], as UserSet's do, or if Gamma^2 is not
+    finite at some range (0 * inf would be NaN).
     """
     powers = np.asarray(powers, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
@@ -240,8 +240,8 @@ def beampattern(
         raise ValueError("powers must be finite and >= 0")
     if angle_grid.size == 0 or range_grid.size == 0:
         raise ValueError("angle and range grids must be non-empty")
-    if not np.all(np.isfinite(angle_grid)):
-        raise ValueError("angles must be finite")
+    if not np.all((angle_grid > 0) & (angle_grid <= math.pi / 2)):  # NaN fails both
+        raise ValueError("angles must be finite and lie in (0, pi/2]")
     if np.any(range_grid <= 0):
         raise ValueError("ranges must be positive")
     with np.errstate(over="ignore"):  # an overflow is rejected just below
@@ -257,38 +257,6 @@ def beampattern(
     energy = np.einsum("n,na,nr->ar", powers[active], gains2, gamma2)
     floor = np.full_like(energy, BEAMPATTERN_FLOOR)
     return np.log10(energy, out=floor, where=energy > 0.0)
-
-
-def export_beampattern_csv(
-    path,
-    angle_grid_rad: np.ndarray,
-    range_grid_m: np.ndarray,
-    energy_map: np.ndarray,
-) -> None:
-    """Write the map as CSV rows (angle_deg, range_m, log_energy), angle-major.
-
-    Every number is written as %.9g. energy_map must have shape
-    (len(angle_grid_rad), len(range_grid_m)); ValueError otherwise, before
-    the file is opened.
-    """
-    angle_deg = np.degrees(np.asarray(angle_grid_rad, dtype=float))
-    range_m = np.asarray(range_grid_m, dtype=float)
-    energy_map = np.asarray(energy_map, dtype=float)
-    if energy_map.shape != (len(angle_deg), len(range_m)):
-        raise ValueError(
-            f"energy map of shape {energy_map.shape} does not match the "
-            f"{len(angle_deg)} x {len(range_m)} angle x range grid"
-        )
-    # One %-format per angle row, in bytes: joining the row tails with the
-    # angle gives b"ang,rng_0,%.9g\nang,rng_1,%.9g\n..." (the leading b""
-    # puts the angle before the first tail and keeps an empty range grid
-    # empty). b"%.9g" % x equals f"{x:.9g}".encode() for every float. The
-    # rows are converted one at a time, so no list of the whole map exists.
-    tails = [b"", *(b",%.9g,%%.9g\n" % rng for rng in range_m)]
-    with open(path, "wb") as fh:
-        fh.write(b"angle_deg,range_m,log_energy\n")
-        for ang, row in zip(angle_deg, energy_map):
-            fh.write((b"%.9g" % ang).join(tails) % tuple(row.tolist()))
 
 
 def frequency_bins_near_angle(

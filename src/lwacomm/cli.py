@@ -19,6 +19,7 @@ import numpy as np
 from .experiments import (
     ConfigError,
     ScenarioConfig,
+    SweepPoint,
     load_config,
     optimize_scenario,
     paired_rates,
@@ -26,6 +27,8 @@ from .experiments import (
     run_snr_sweep,
     sample_users,
     write_allocation,
+    write_csv,
+    write_report,
 )
 from .mimo import ZeroChannel
 from .optimizer import AllGainsZero
@@ -104,9 +107,7 @@ def _cmd_sweep(args, config: ScenarioConfig) -> None:
     if args.trials is not None:
         config = replace(config, trials=args.trials)
     sweep = run_snr_sweep(config, args.snr_db)
-    path = os.path.join(args.out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write(sweep.to_csv())
+    write_csv(os.path.join(args.out, "sweep.csv"), ",".join(SweepPoint._fields), sweep.points)
     if not args.quiet:
         for p in sweep.points:
             print(
@@ -117,14 +118,10 @@ def _cmd_sweep(args, config: ScenarioConfig) -> None:
 
 def _cmd_compare(args, config: ScenarioConfig) -> None:
     lwa_rate, mimo_rate, result = paired_rates(config, 0, config.power_budget)
-    report = (
-        f"lwa_rate_bits: {lwa_rate:.9g}\n"
-        f"mimo_rate_bits: {mimo_rate:.9g}\n"
-        f"chosen_b_m: {result.chosen_b:.9g}\n"
-        f"chosen_L_m: {result.chosen_L:.9g}\n"
-    )
-    with open(os.path.join(args.out, "compare.txt"), "w") as fh:
-        fh.write(report)
+    report = write_report(os.path.join(args.out, "compare.txt"), {
+        "lwa_rate_bits": lwa_rate, "mimo_rate_bits": mimo_rate,
+        "chosen_b_m": result.chosen_b, "chosen_L_m": result.chosen_L,
+    })
     if not args.quiet:
         print(report, end="")
 

@@ -15,6 +15,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -26,7 +27,6 @@ from .channel import (
     UserSet,
     beampattern,
     build_channel,
-    export_beampattern_csv,
     geometry_gains_squared,
 )
 from .mimo import UlaGeometry, build_mimo_channel, mimo_sum_rate, normalize_to_lwa
@@ -231,17 +231,22 @@ def run_beampattern_experiment(
     range_step_m: float = 0.25,
 ) -> AllocationResult:
     """Optimize trial 0's user draw and export the energy map plus the user
-    positions and the allocation report/trace. Raises ValueError unless
-    both grid steps are finite and > 0, before anything is computed."""
+    positions and the allocation report/trace. The angles run from
+    angle_step_deg up to 90 deg. Raises ValueError unless both grid steps
+    are finite and > 0 and the angle step is at most 90, before anything is
+    computed."""
     for name, step in (("angle_step_deg", angle_step_deg), ("range_step_m", range_step_m)):
         if not (math.isfinite(step) and step > 0):
             raise ValueError(f"{name} must be finite and > 0, got {step!r}")
+    if angle_step_deg > 90:  # the grid's first point would pass pi/2
+        raise ValueError(f"angle_step_deg must be at most 90, got {angle_step_deg!r}")
     users = sample_users(config, 0)
     result = optimize_scenario(config, users)
 
-    angle_grid = np.radians(
-        np.arange(angle_step_deg, 90.0 + angle_step_deg / 2, angle_step_deg)
-    )
+    angle_grid = np.radians(np.arange(angle_step_deg, 90.0 + angle_step_deg / 2, angle_step_deg))
+    # arange can pass 90 deg by up to half a step, or by rounding alone:
+    # drop the points past pi/2 and clip one within rounding of it
+    angle_grid = np.minimum(angle_grid[angle_grid <= math.pi / 2 * (1 + 1e-12)], math.pi / 2)
     range_grid = np.arange(5.0, 25.0 + range_step_m / 2, range_step_m)
     energy = beampattern(
         LwaConfig(result.chosen_b, result.chosen_L),
@@ -256,20 +261,74 @@ def run_beampattern_experiment(
     export_beampattern_csv(
         os.path.join(out_dir, "beampattern.csv"), angle_grid, range_grid, energy
     )
-    with open(os.path.join(out_dir, "users.csv"), "w", newline="") as fh:
-        fh.write("angle_deg,range_m\n")
-        for ang, rng in zip(users.angles_rad, users.ranges_m):
-            fh.write(f"{math.degrees(ang):.9g},{rng:.9g}\n")
+    users_rows = zip(map(math.degrees, users.angles_rad), users.ranges_m)
+    write_csv(os.path.join(out_dir, "users.csv"), "angle_deg,range_m", users_rows)
     write_allocation(result, out_dir)
     return result
 
 
 def write_allocation(result: AllocationResult, out_dir) -> None:
     """Write the report to allocation.txt and the trace to trace.csv in out_dir."""
-    with open(os.path.join(out_dir, "allocation.txt"), "w") as fh:
-        fh.write(result.report_text())
-    with open(os.path.join(out_dir, "trace.csv"), "w", newline="") as fh:
-        fh.write(result.trace_csv())
+    write_report(os.path.join(out_dir, "allocation.txt"), {
+        "chosen_b_m": result.chosen_b, "chosen_L_m": result.chosen_L,
+        "sum_rate_bits": result.sum_rate, "total_budget": float(result.powers.total_budget_P),
+        "powers": result.powers.powers, "iterations": len(result.trace),
+        "stop_reason": result.stop_reason,
+    })
+    write_csv(os.path.join(out_dir, "trace.csv"), "iter,b_m,L_m,rate_bits", result.trace)
+
+
+def _format(value) -> str:
+    """An array as its entries joined by spaces, a string as it is, an
+    integer count as its digits, and any other number as %.9g."""
+    if isinstance(value, np.ndarray):
+        return " ".join(["%.9g" % v for v in value.tolist()])
+    return str(value) if isinstance(value, (str, int, np.integer)) else "%.9g" % value
+
+
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line, then each row's values by _format, comma-separated."""
+    lines = [header, *(",".join(map(_format, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n", newline="")
+
+
+def write_report(path, items: dict) -> str:
+    """Write a `name: value` line per item, the value by _format; return the text."""
+    text = "".join(f"{name}: {_format(value)}\n" for name, value in items.items())
+    Path(path).write_text(text, newline="")
+    return text
+
+
+def export_beampattern_csv(
+    path,
+    angle_grid_rad: np.ndarray,
+    range_grid_m: np.ndarray,
+    energy_map: np.ndarray,
+) -> None:
+    """Write the map as CSV rows (angle_deg, range_m, log_energy), angle-major.
+
+    Every number is written as %.9g. energy_map must have shape
+    (len(angle_grid_rad), len(range_grid_m)); ValueError otherwise, before
+    the file is opened.
+    """
+    angle_deg = np.degrees(np.asarray(angle_grid_rad, dtype=float))
+    range_m = np.asarray(range_grid_m, dtype=float)
+    energy_map = np.asarray(energy_map, dtype=float)
+    if energy_map.shape != (len(angle_deg), len(range_m)):
+        raise ValueError(
+            f"energy map of shape {energy_map.shape} does not match the "
+            f"{len(angle_deg)} x {len(range_m)} angle x range grid"
+        )
+    # One %-format per angle row, in bytes: joining the row tails with the
+    # angle gives b"ang,rng_0,%.9g\nang,rng_1,%.9g\n..." (the leading b""
+    # puts the angle before the first tail and keeps an empty range grid
+    # empty). b"%.9g" % x equals f"{x:.9g}".encode() for every float. The
+    # rows are converted one at a time, so no list of the whole map exists.
+    tails = [b"", *(b",%.9g,%%.9g\n" % rng for rng in range_m)]
+    with open(path, "wb") as fh:
+        fh.write(b"angle_deg,range_m,log_energy\n")
+        for ang, row in zip(angle_deg, energy_map):
+            fh.write((b"%.9g" % ang).join(tails) % tuple(row.tolist()))
 
 
 class SweepPoint(NamedTuple):
@@ -283,15 +342,6 @@ class SweepPoint(NamedTuple):
 
 class SweepResult(NamedTuple):
     points: tuple
-
-    def to_csv(self) -> str:
-        lines = ["snr_db,mean_lwa,std_lwa,mean_mimo,std_mimo,trials"]
-        for p in self.points:
-            lines.append(
-                f"{p.snr_db:.9g},{p.mean_lwa:.9g},{p.std_lwa:.9g},"
-                f"{p.mean_mimo:.9g},{p.std_mimo:.9g},{p.trials}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _mean_std(values) -> tuple:

@@ -175,7 +175,8 @@ def mimo_sum_rate(
     channel factor * spectrum.entries as parallel channels, waterfills the
     budget across the pool, and averages the resulting rates over the N
     subbands (channel.rate_bits, which raises FloatingPointError
-    if the rate is not finite).
+    if the rate is not finite). waterfill raises ValueError unless the
+    budget is finite and > 0.
 
     The squared singular values are taken from the spectrum: the
     eigenvalues of the r x r Gram matrix of H_n / p_n on its short side
@@ -186,8 +187,6 @@ def mimo_sum_rate(
     the entries and waterfilled again, so the rate keeps the SVD's accuracy
     at any SNR.
     """
-    if budget_P <= 0:
-        raise ValueError("budget_P must be > 0")
     tau = spectrum.eigenvalues.shape[1] * np.finfo(float).eps / GRAM_RTOL
     sigma2 = noise.variance_sigma2
 

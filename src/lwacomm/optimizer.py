@@ -13,6 +13,7 @@ draw; the optimizer never builds a channel itself.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +44,8 @@ class PowerAllocation:
 
     @classmethod
     def uniform(cls, n: int, budget: float) -> "PowerAllocation":
-        if n < 1:
-            raise ValueError(f"need at least one subband, got {n}")
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"need an integer count of at least one subband, got {n!r}")
         return cls(np.full(n, budget / n), budget)
 
 
@@ -80,26 +81,6 @@ class AllocationResult(NamedTuple):
     sum_rate: float
     trace: tuple
     stop_reason: str
-
-    def trace_csv(self) -> str:
-        lines = ["iter,b_m,L_m,rate_bits"]
-        for rec in self.trace:
-            lines.append(
-                f"{rec.iteration},{rec.b_m:.9g},{rec.L_m:.9g},{rec.rate_bits:.9g}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def report_text(self) -> str:
-        power_str = " ".join(f"{p:.9g}" for p in self.powers.powers)
-        return (
-            f"chosen_b_m: {self.chosen_b:.9g}\n"
-            f"chosen_L_m: {self.chosen_L:.9g}\n"
-            f"sum_rate_bits: {self.sum_rate:.9g}\n"
-            f"total_budget: {self.powers.total_budget_P:.9g}\n"
-            f"powers: {power_str}\n"
-            f"iterations: {len(self.trace)}\n"
-            f"stop_reason: {self.stop_reason}\n"
-        )
 
 
 def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocation:
@@ -178,8 +159,8 @@ def alternate_optimize(
     repeated geometry repeats the powers too. Raises FloatingPointError if a
     rate is not finite (for example from an infinite gain).
     """
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
+    if isinstance(i_max, bool) or not isinstance(i_max, numbers.Integral) or i_max < 1:
+        raise ValueError(f"i_max must be an integer >= 1, got {i_max!r}")
     n = gains.shape[-1]
     alloc = PowerAllocation.uniform(n, budget_P)
 

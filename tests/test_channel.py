@@ -17,11 +17,11 @@ from lwacomm.channel import (
     average_sum_rate,
     beampattern,
     build_channel,
-    export_beampattern_csv,
     frequency_bins_near_angle,
     geometry_gains_squared,
     rate_bits,
 )
+from lwacomm.experiments import export_beampattern_csv
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, emission_angle
 
 from oracles import (
@@ -304,6 +304,14 @@ class TestBeampattern:
         with pytest.raises(ValueError, match="angles must be finite"):
             beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, angles, self.RANGES)
 
+    @pytest.mark.parametrize("bad_angle", [-0.5, 0.0, 2.0])
+    def test_angle_outside_the_quadrant_rejected(self, bad_angle):
+        # -0.5 rad used to mirror +0.5 rad, and 2.0 rad to get a value the
+        # physics does not define
+        angles = np.array([bad_angle, 0.5])
+        with pytest.raises(ValueError, match=r"lie in \(0, pi/2\]"):
+            beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, angles, self.RANGES)
+
     @pytest.mark.parametrize("powers", [[1.0] * 4, [0.0, 1.0, 0.0, 0.0], [0.0] * 4])
     def test_range_with_non_finite_gamma2_rejected(self, powers):
         # (1 / 1e-200)^2 overflows to inf, whatever the powers are
@@ -509,7 +517,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             UserSet(np.array([0.5, 0.6]), np.array([1.0]))
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "3", None])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 3.0, "3", None, True])
     def test_subband_centers_needs_an_integer_count(self, n):
         with pytest.raises(ValueError, match="integer bin count"):
             FrequencyGrid.subband_centers(200e9, 800e9, n)

@@ -4,15 +4,18 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from lwacomm import experiments
 from lwacomm.experiments import (
     ConfigError,
     ScenarioConfig,
+    SweepPoint,
     load_config,
     optimize_scenario,
     paired_rates,
     run_beampattern_experiment,
     run_snr_sweep,
     sample_users,
+    write_csv,
 )
 
 # small scenario keeping the Monte-Carlo tests quick
@@ -197,6 +200,30 @@ class TestBeampatternExperiment:
             run_beampattern_experiment(FAST, tmp_path / "out", **steps)
         assert not (tmp_path / "out").exists()
 
+    def test_angle_step_past_90_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="angle_step_deg must be at most 90"):
+            run_beampattern_experiment(FAST, tmp_path / "out", 90.5, 5.0)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "step, rows, last_deg",
+        # 0.7 and 7 deg used to end at 90.3 and 91 deg, and 0.2 deg one ulp
+        # past pi/2 after np.radians
+        [(0.7, 128, 89.6), (7.0, 12, 84.0), (0.2, 450, 90.0), (0.25, 360, 90.0)],
+    )
+    def test_angle_grid_stays_in_the_quadrant(self, monkeypatch, tmp_path, step, rows, last_deg):
+        grids = []
+        monkeypatch.setattr(
+            experiments, "export_beampattern_csv", lambda path, angles, *_: grids.append(angles)
+        )
+        run_beampattern_experiment(FAST, tmp_path, step, 20.0)
+        (angles,) = grids
+        assert angles.size == rows and np.all(np.diff(angles) > 0)
+        assert angles[0] > 0 and angles[-1] <= math.pi / 2
+        assert math.degrees(angles[-1]) == pytest.approx(last_deg, rel=1e-12)
+        if last_deg == 90.0:
+            assert angles[-1] == math.pi / 2
+
     def test_users_csv_contents(self, tmp_path):
         cfg = replace(FAST, num_users=2)
         run_beampattern_experiment(cfg, tmp_path, angle_step_deg=5.0, range_step_m=5.0)
@@ -229,9 +256,10 @@ class TestSnrSweep:
         lwa, mimo, _ = paired_rates(FAST, 0, 1e-12)
         assert lwa < 1e-6 and mimo < 1e-6
 
-    def test_csv_format(self):
+    def test_csv_format(self, tmp_path):
         sweep = run_snr_sweep(replace(FAST, trials=2), [0.0, 10.0])
-        lines = sweep.to_csv().splitlines()
+        write_csv(tmp_path / "sweep.csv", ",".join(SweepPoint._fields), sweep.points)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
         assert lines[0] == "snr_db,mean_lwa,std_lwa,mean_mimo,std_mimo,trials"
         assert len(lines) == 3
         assert lines[1].endswith(",2")

@@ -214,8 +214,9 @@ class TestSumRate:
 
     def test_budget_validation(self):
         spectrum = mimo_spectrum(np.ones((1, 1, 1), dtype=complex))
-        with pytest.raises(ValueError):
-            mimo_sum_rate(spectrum, 1.0, 0.0, NOISE)
+        for budget in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="budget_P must be finite and > 0"):
+                mimo_sum_rate(spectrum, 1.0, budget, NOISE)
 
     def test_non_finite_rate_raises(self):
         # s^2 = 1e400 overflows to inf, so the rate would be inf

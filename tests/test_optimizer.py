@@ -13,6 +13,7 @@ from lwacomm.channel import (
     geometry_gains_squared,
     rate_bits,
 )
+from lwacomm.experiments import write_allocation
 from lwacomm.optimizer import (
     BUDGET_RTOL,
     AllGainsZero,
@@ -282,8 +283,10 @@ class TestAlternateOptimize:
 
     def test_i_max_validation(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
-        with pytest.raises(ValueError):
-            alternate_optimize(grids, default_gains(grids), 10.0, NOISE, i_max=0)
+        # 2.5 used to raise TypeError from range, and True to run once
+        for i_max in (0, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="i_max must be an integer"):
+                alternate_optimize(grids, default_gains(grids), 10.0, NOISE, i_max=i_max)
 
     def test_chosen_values_on_grid(self):
         grids = bounded_grids(5, 7)
@@ -293,16 +296,24 @@ class TestAlternateOptimize:
 
 
 class TestSerialization:
-    def test_trace_csv_and_report(self):
+    def test_trace_csv_and_report(self, tmp_path):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
         result = alternate_optimize(grids, default_gains(grids), 10.0, NOISE)
-        csv = result.trace_csv().splitlines()
+        write_allocation(result, tmp_path)
+        csv = (tmp_path / "trace.csv").read_text().splitlines()
         assert csv[0] == "iter,b_m,L_m,rate_bits"
         assert csv[1].startswith("1,0.001,0.02,")
-        report = result.report_text()
+        report = (tmp_path / "allocation.txt").read_text()
         assert "chosen_b_m: 0.001" in report
         assert "sum_rate_bits:" in report
         assert report.endswith("iterations: 2\nstop_reason: fixed_point\n")
+
+    def test_int_budget_printed_as_a_float(self, tmp_path):
+        # the budget is a float field: an int one still prints through %.9g
+        grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))
+        result = alternate_optimize(grids, default_gains(grids), 10**10, NOISE)
+        write_allocation(result, tmp_path)
+        assert "total_budget: 1e+10\n" in (tmp_path / "allocation.txt").read_text()
 
 
 class TestPowerAllocation:
@@ -327,7 +338,7 @@ class TestPowerAllocation:
         alloc = PowerAllocation.uniform(4, 10.0)
         np.testing.assert_allclose(alloc.powers, 2.5)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, "3"])
     def test_uniform_rejects_an_empty_count(self, n):
         # n = 0 used to raise ZeroDivisionError
         with pytest.raises(ValueError, match="at least one subband"):
