@@ -279,8 +279,8 @@ def write_allocation(result: AllocationResult, out_dir) -> None:
 
 
 def _format(value) -> str:
-    """An array as its entries joined by spaces, a string as it is, an
-    integer count as its digits, and any other number as %.9g."""
+    """A string as it is, an integer count as its digits, any other number
+    as %.9g, and an array as its entries so formatted, joined by spaces."""
     if isinstance(value, np.ndarray):
         return " ".join(["%.9g" % v for v in value.tolist()])
     return str(value) if isinstance(value, (str, int, np.integer)) else "%.9g" % value
