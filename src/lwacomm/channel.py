@@ -108,38 +108,6 @@ def build_channel(
     return gains * loss.evaluate(users.ranges_m)
 
 
-def _pairwise_sum(terms, n: int) -> np.ndarray:
-    """Sum of the next n arrays of the iterator `terms`, added in the order
-    numpy's pairwise summation uses along a contiguous axis, so the result
-    equals np.sum(np.stack(arrays, axis=-1), axis=-1) bitwise.
-
-    Below 8 terms they are added in order. Up to 128, term k goes into
-    running partial k mod 8 until fewer than 8 remain; the partials combine
-    as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest are added in order.
-    Above 128 the terms split at half, rounded down to a multiple of 8. The
-    arrays are summed into in place, and at most 9 are held at once per
-    level of that split.
-    """
-    if n < 8:
-        total = next(terms)
-        for _ in range(n - 1):
-            total += next(terms)
-        return total
-    if n <= 128:
-        r = [next(terms) for _ in range(8)]
-        for k in range(8, n - n % 8):
-            r[k % 8] += next(terms)
-        for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-            r[a] += r[b]
-        for _ in range(n % 8):
-            r[0] += next(terms)
-        return r[0]
-    half = n // 2 - n // 2 % 8
-    total = _pairwise_sum(terms, half)
-    total += _pairwise_sum(terms, n - half)
-    return total
-
-
 def geometry_gains_squared(
     b_grid: np.ndarray,
     L_grid: np.ndarray,
@@ -149,15 +117,16 @@ def geometry_gains_squared(
 ) -> np.ndarray:
     """||h_n||^2 for every geometry of the b x L search grid, shape (B, L, N).
 
-    Entry [i, j] equals np.sum(np.abs(h) ** 2, axis=1) bitwise for the
+    Entry [i, j] equals the ||h_n||^2 that average_sum_rate takes from the
     channel h = build_channel(LwaConfig(b_grid[i], L_grid[j]), grid, users,
-    loss), so subbands below that geometry's cutoff are zero. The b rows go
-    in blocks of at most GAINS_BLOCK_ENTRIES entries per user (at least one
-    row), each built user by user: one diffraction_gain_grid call gives a
-    user's contiguous (rows, L, N) gains, which are scaled and squared in
-    place and folded into the sum as they come, in the pairwise order of
-    np.sum over a user axis. The norms do not depend on the powers: one
-    array per user draw serves every step of the alternating optimization.
+    loss), bitwise, so subbands below that geometry's cutoff are zero. Both
+    add the users in order, k = 0, 1, ..., K-1. The b rows go in blocks of
+    at most GAINS_BLOCK_ENTRIES entries per user (at least one row). In
+    each block, one diffraction_gain_grid call per user gives its
+    contiguous (rows, L, N) gains, which are scaled and squared in place
+    and added to the block, so one user's term is held at a time. The norms
+    do not depend on the powers: one array per user draw serves every step
+    of the alternating optimization.
     Raises ValueError if either grid is empty.
     """
     b_grid = np.asarray(b_grid, dtype=float)
@@ -167,18 +136,16 @@ def geometry_gains_squared(
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m)
     angles = users.angles_rad
-    out = np.empty((b_grid.size, slits.shape[0], freqs.size))
+    out = np.zeros((b_grid.size, slits.shape[0], freqs.size))
     rows = max(1, GAINS_BLOCK_ENTRIES // (slits.shape[0] * freqs.size))
-
-    def user_gains(config, k):
-        gains = diffraction_gain_grid(config, angles[k:k + 1], freqs)
-        gains *= gamma[k]
-        return np.square(gains, out=gains)  # the gain is real: |x|^2 = x*x bitwise
-
     for start in range(0, b_grid.size, rows):
         config = LwaConfig(b_grid[start:start + rows, None, None], slits)
-        terms = (user_gains(config, k) for k in range(angles.size))
-        out[start:start + rows] = _pairwise_sum(terms, angles.size)[..., 0]
+        block = out[start:start + rows]
+        for k in range(angles.size):
+            term = diffraction_gain_grid(config, angles[k:k + 1], freqs)[..., 0]
+            term *= gamma[k]
+            block += np.square(term, out=term)  # the gain is real: |x|^2 = x*x bitwise
+            del term  # hold no term over the next user's gain call
     return out
 
 
@@ -201,7 +168,9 @@ def average_sum_rate(channel, powers, noise: NoiseModel) -> float:
     if channel.ndim != 2:
         raise ValueError(f"need an N x K channel array, got shape {channel.shape}")
     powers = np.asarray(powers, dtype=float)
-    gains2 = np.sum(np.abs(channel) ** 2, axis=1)
+    gains2 = np.zeros(channel.shape[0])
+    for column in np.abs(channel).T:  # the users in order, as geometry_gains_squared
+        gains2 += column ** 2
     if powers.shape != gains2.shape:
         raise ValueError(
             f"power vector length {powers.size} != subband count {gains2.size}"
@@ -228,8 +197,9 @@ def beampattern(
     Only the powered subbands (P_n > 0) enter the map: the sum adds its terms
     in order of n, and a zero-power term is +0, so leaving it out changes no
     bit. Raises ValueError if a power is negative or not finite, if an
-    angle lies outside (0, pi/2], as UserSet's do, or if Gamma^2 is not
-    finite at some range (0 * inf would be NaN).
+    angle lies outside (0, pi/2] or a range is not finite and > 0, as
+    UserSet's do, or if Gamma^2 is not finite at some range (0 * inf would
+    be NaN).
     """
     powers = np.asarray(powers, dtype=float)
     angle_grid = np.asarray(angle_grid, dtype=float)
@@ -242,8 +212,8 @@ def beampattern(
         raise ValueError("angle and range grids must be non-empty")
     if not np.all((angle_grid > 0) & (angle_grid <= math.pi / 2)):  # NaN fails both
         raise ValueError("angles must be finite and lie in (0, pi/2]")
-    if np.any(range_grid <= 0):
-        raise ValueError("ranges must be positive")
+    if not np.all(np.isfinite(range_grid)) or np.any(range_grid <= 0):
+        raise ValueError("ranges must be finite and positive")
     with np.errstate(over="ignore"):  # an overflow is rejected just below
         gamma2 = loss.evaluate(range_grid) ** 2
     if not np.all(np.isfinite(gamma2)):

@@ -233,10 +233,11 @@ def run_beampattern_experiment(
     """Optimize trial 0's user draw and export the energy map plus the user
     positions and the allocation report/trace. The angles run from
     angle_step_deg up to 90 deg. Raises ValueError unless both grid steps
-    are finite and > 0 and the angle step is at most 90, before anything is
-    computed."""
+    are real numbers (not bools), finite and > 0, and the angle step is at
+    most 90, before anything is computed."""
     for name, step in (("angle_step_deg", angle_step_deg), ("range_step_m", range_step_m)):
-        if not (math.isfinite(step) and step > 0):
+        real = isinstance(step, numbers.Real) and not isinstance(step, bool)
+        if not (real and math.isfinite(step) and step > 0):
             raise ValueError(f"{name} must be finite and > 0, got {step!r}")
     if angle_step_deg > 90:  # the grid's first point would pass pi/2
         raise ValueError(f"angle_step_deg must be at most 90, got {angle_step_deg!r}")

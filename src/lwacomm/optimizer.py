@@ -94,15 +94,16 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
     expression changes when every floor is shifted, so the floors are taken
     relative to the smallest: near it the differences are exact (Sterbenz),
     even for floors far above the budget that differ only in their last
-    bits. Zero-gain subbands receive exactly zero power. Raises AllGainsZero
-    when no gain is positive, and FloatingPointError if the rounding of the
-    floors still puts the powers over the budget.
+    bits. Zero-gain subbands receive exactly zero power. Raises ValueError
+    if a gain is negative or NaN, AllGainsZero when no gain is positive,
+    and FloatingPointError if the rounding of the floors still puts the
+    powers over the budget.
     """
     gains = np.asarray(gains_squared, dtype=float)
     if not 0 < budget_P < math.inf:
         raise ValueError("budget_P must be finite and > 0")
-    if np.any(gains < 0):
-        raise ValueError("gains_squared must be >= 0")
+    if not np.all(gains >= 0):  # NaN fails it too
+        raise ValueError("gains_squared must be >= 0, not NaN")
     positive = gains > 0
     if not np.any(positive):
         raise AllGainsZero("all subband gains are zero")

@@ -35,6 +35,14 @@ NOISE = NoiseModel(1.0)
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200)
 
 
+def norms_in_user_order(point):
+    """||h_n||^2 of an N x K channel, adding the users k = 0, 1, ... in order."""
+    norms = np.zeros(point.shape[0])
+    for column in point.T:
+        norms += column ** 2
+    return norms
+
+
 def peak_config_for(angle_rad, frequency):
     """Geometry whose emission angle at `frequency` is exactly `angle_rad`."""
     b = SPEED_OF_LIGHT / (2.0 * frequency * math.sin(angle_rad))
@@ -85,7 +93,8 @@ class TestBuildChannel:
         at_cutoff = build_channel(cfg, grid, users, LOSS)
         assert at_cutoff[0, 0] != 0
 
-    # the pairwise order of the user sum differs from a plain one from 8 on
+    # from 8 users on, numpy's pairwise sum no longer adds in user order,
+    # and above 128 it splits; the default scenario has 4
     USER_COUNTS = [1, 4, 8, 9, 32, 129]
 
     @staticmethod
@@ -110,8 +119,9 @@ class TestBuildChannel:
         for i, b in enumerate(b_grid):
             for j, L in enumerate(L_grid):
                 point = build_channel(LwaConfig(b, L), grid, users, LOSS)
-                want = np.sum(np.abs(point) ** 2, axis=1)
-                assert np.array_equal(gains2[i, j], want), (b, L)
+                assert np.array_equal(gains2[i, j], norms_in_user_order(point)), (b, L)
+                if users.num_users < 8:  # numpy's sum adds these in order too
+                    assert np.array_equal(gains2[i, j], np.sum(np.abs(point) ** 2, axis=1))
 
     # a block limit below one b row gives seven one-row blocks; one just
     # above three rows gives blocks of 3, 3 and 1. Each block makes one
@@ -161,37 +171,53 @@ class TestBuildChannel:
         assert average_sum_rate(channel, powers, NOISE) == want
 
 
-class TestPairwiseSum:
-    """channel._pairwise_sum adds arrays in the order np.sum uses over a
-    contiguous axis. These pin that order across its 8 and 128 thresholds,
-    so a numpy whose summation order changes fails here."""
+class TestUserSum:
+    """geometry_gains_squared and average_sum_rate add the users in one
+    order, k = 0, 1, ..., K-1. The counts cross 8 and 128 terms, where
+    numpy's pairwise summation would add them in another."""
 
     COUNTS = [1, 2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 255, 256, 257, 300, 1000]
+    GRID = FrequencyGrid.subband_centers(200e9, 800e9, 12)
+    CFG = LwaConfig(1e-3, 20e-3)
 
-    @pytest.mark.parametrize("n", COUNTS)
-    def test_equals_numpy_sum_bitwise(self, n):
-        rng = np.random.default_rng(n)
-        # mixed signs over 16 decades make every change of order show
-        stack = rng.standard_normal((3, 5, n)) * 10.0 ** rng.uniform(-8, 8, (3, 5, n))
-        terms = (stack[..., k].copy() for k in range(n))
-        got = channel._pairwise_sum(terms, n)
-        assert np.array_equal(got, np.sum(stack, axis=-1))
+    @staticmethod
+    def _users(num_users):
+        rng = np.random.default_rng(num_users)
+        return UserSet(rng.uniform(0.2, 1.5, num_users), rng.uniform(5.0, 20.0, num_users))
 
-    @pytest.mark.parametrize("n", [8, 128, 129, 1000])
-    def test_holds_few_terms_at_once(self, n):
+    def _gains2(self, users):
+        b, L = [self.CFG.plate_separation_b], [self.CFG.slit_length_L]
+        return geometry_gains_squared(b, L, self.GRID, users, LOSS)[0, 0]
+
+    @pytest.mark.parametrize("num_users", COUNTS)
+    def test_adds_users_in_order(self, num_users, monkeypatch):
+        # on 12 subbands every count from 8 on has some subband where
+        # numpy's order gives another bit than this one
+        users = self._users(num_users)
+        gains2 = self._gains2(users)
+        point = build_channel(self.CFG, self.GRID, users, LOSS)
+        want = norms_in_user_order(point)
+        assert np.array_equal(gains2, want)
+        rated = []
+        monkeypatch.setattr(channel, "rate_bits", lambda powers, norms, *_: rated.append(norms))
+        average_sum_rate(point, np.ones(self.GRID.num_subbands), NOISE)
+        assert np.array_equal(rated[0], want)
+
+    @pytest.mark.parametrize("num_users", [8, 128, 129, 1000])
+    def test_holds_one_user_term_at_a_time(self, num_users, monkeypatch):
         alive, most = [], []
+        gain_grid = channel.diffraction_gain_grid
 
-        def terms():
-            for _ in range(n):
-                most.append(sum(ref() is not None for ref in alive))
-                term = np.ones(2)
-                alive.append(weakref.ref(term))
-                yield term
-                del term  # hold no term here, as geometry_gains_squared does not
+        def spy(config, angles, freqs):
+            most.append(sum(ref() is not None for ref in alive))
+            gains = gain_grid(config, angles, freqs)
+            alive.append(weakref.ref(gains))
+            return gains
 
-        assert np.array_equal(channel._pairwise_sum(terms(), n), [n, n])
-        splits = max(0, math.ceil(math.log2(n / 128)))
-        assert max(most) <= 8 + splits
+        monkeypatch.setattr(channel, "diffraction_gain_grid", spy)
+        self._gains2(self._users(num_users))
+        # no earlier user's gains are alive when the next are computed
+        assert len(most) == num_users and max(most) == 0
 
 
 class TestRates:
@@ -289,6 +315,13 @@ class TestBeampattern:
         # -10 m used to give the log-energy of +10 m, and 0 m a division by zero
         ranges = np.array([5.0, bad_range])
         with pytest.raises(ValueError, match="ranges"):
+            beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, self.ANGLES, ranges)
+
+    @pytest.mark.parametrize("bad_range", [math.inf, -math.inf])
+    def test_non_finite_range_rejected(self, bad_range):
+        # an infinite range used to get the -300 floor
+        ranges = np.array([bad_range, 10.0])
+        with pytest.raises(ValueError, match="ranges must be finite and positive"):
             beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, self.ANGLES, ranges)
 
     @pytest.mark.parametrize("bad_power", [-1.0, -5e-324, math.nan, math.inf, -math.inf])

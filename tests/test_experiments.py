@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lwacomm import experiments
+from lwacomm.channel import InverseRangeLoss, average_sum_rate, build_channel
 from lwacomm.experiments import (
     ConfigError,
     ScenarioConfig,
@@ -17,6 +18,7 @@ from lwacomm.experiments import (
     sample_users,
     write_csv,
 )
+from lwacomm.physics import LwaConfig
 
 # small scenario keeping the Monte-Carlo tests quick
 FAST = ScenarioConfig(
@@ -190,9 +192,10 @@ class TestBeampatternExperiment:
         best_angle = near[np.argmax(near[:, 2]), 0]
         assert abs(best_angle - 30.0) <= 1.5
 
-    # a step of 0 used to raise ZeroDivisionError, and a NaN step numpy's
-    # "arange: cannot compute length"
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    # a step of 0 used to raise ZeroDivisionError, a NaN step numpy's
+    # "arange: cannot compute length", True to run as 1 and "0.5" to raise
+    # TypeError from math.isfinite
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True, "0.5"])
     @pytest.mark.parametrize("name", ["angle_step_deg", "range_step_m"])
     def test_non_positive_or_non_finite_step_rejected(self, tmp_path, name, bad):
         steps = {"angle_step_deg": 5.0, "range_step_m": 5.0, name: bad}
@@ -284,3 +287,20 @@ class TestOptimizeScenario:
         assert FAST.b_min_m <= result.chosen_b <= FAST.b_max_m
         assert FAST.slit_min_m <= result.chosen_L <= FAST.slit_max_m
         assert result.powers.powers.sum() == pytest.approx(FAST.power_budget, rel=1e-9)
+
+    @pytest.mark.parametrize("num_users", [4, 9, 32])
+    def test_sum_rate_equals_the_chosen_channels_rate(self, num_users):
+        # the optimizer takes ||h_n||^2 from the gains array, the reference
+        # from the per-point channel; both add the users in the same order
+        for seed in range(5):
+            cfg = replace(FAST, num_users=num_users, b_grid_points=5, slit_grid_points=5, seed=seed)
+            users = sample_users(cfg, 0)
+            result = optimize_scenario(cfg, users)
+            point = build_channel(
+                LwaConfig(result.chosen_b, result.chosen_L),
+                cfg.frequency_grid(),
+                users,
+                InverseRangeLoss(),
+            )
+            want = average_sum_rate(point, result.powers.powers, cfg.noise())
+            assert result.sum_rate == want, seed

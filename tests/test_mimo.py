@@ -21,7 +21,7 @@ from lwacomm.mimo import (
     mimo_sum_rate,
     normalize_to_lwa,
 )
-from lwacomm.optimizer import SearchGrids, alternate_optimize
+from lwacomm.optimizer import AllGainsZero, SearchGrids, alternate_optimize
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
 from oracles import reference_mimo_entries, simplex_grid_best_rate, svd_mimo_rate
@@ -217,6 +217,13 @@ class TestSumRate:
         for budget in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="budget_P must be finite and > 0"):
                 mimo_sum_rate(spectrum, 1.0, budget, NOISE)
+
+    def test_nan_factor_rejected(self):
+        # a NaN factor used to be reported as all subband gains being zero
+        spectrum = mimo_spectrum(np.ones((2, 1, 1), dtype=complex))
+        with pytest.raises(ValueError, match="not NaN") as info:
+            mimo_sum_rate(spectrum, math.nan, 1.0, NOISE)
+        assert not isinstance(info.value, AllGainsZero)
 
     def test_non_finite_rate_raises(self):
         # s^2 = 1e400 overflows to inf, so the rate would be inf

@@ -60,6 +60,12 @@ class TestWaterfill:
             with pytest.raises(ValueError):
                 waterfill([1.0], budget, NOISE)
 
+    def test_nan_gain_rejected(self):
+        # a NaN gain used to get zero power, as if it were zero
+        with pytest.raises(ValueError, match="not NaN") as info:
+            waterfill([math.nan, 1.0], 1.0, NOISE)
+        assert not isinstance(info.value, AllGainsZero)
+
     @pytest.mark.parametrize(
         "gains, expected",
         [([1e-20], [1.0]), ([1e-17, 1e-17], [0.5, 0.5])],
