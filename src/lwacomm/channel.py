@@ -124,9 +124,9 @@ def geometry_gains_squared(
     at most GAINS_BLOCK_ENTRIES entries per user (at least one row). In
     each block, one diffraction_gain_grid call per user gives its
     contiguous (rows, L, N) gains, which are scaled and squared in place
-    and added to the block, so one user's term is held at a time. The norms
-    do not depend on the powers: one array per user draw serves every step
-    of the alternating optimization.
+    and added to the block: no earlier user's term but the last is held
+    while the next is computed. The norms do not depend on the powers: one
+    array per user draw serves every step of the alternating optimization.
     Raises ValueError if either grid is empty.
     """
     b_grid = np.asarray(b_grid, dtype=float)
@@ -145,7 +145,6 @@ def geometry_gains_squared(
             term = diffraction_gain_grid(config, angles[k:k + 1], freqs)[..., 0]
             term *= gamma[k]
             block += np.square(term, out=term)  # the gain is real: |x|^2 = x*x bitwise
-            del term  # hold no term over the next user's gain call
     return out
 
 

