@@ -9,6 +9,12 @@ frequency bins.
 Both read only the channel's MimoSpectrum and one scalar factor. The
 spectrum is taken in one pass over blocks of subbands without keeping the
 N x K x M entries, so the baseline's memory is of the order of one block.
+The entries are made by a phasor recurrence over the evenly spaced subband
+centers, one complex multiply per entry, with the direct exp as an anchor
+every ANCHOR_STRIDE subbands. Each entry lies within 4 Phi_max eps relative
+of its exact value (Phi_max = 2 pi f_max d_max / c, the largest phase), the
+same bound the direct exp meets, since rounding the phase argument already
+costs it about Phi_max eps.
 """
 
 from __future__ import annotations
@@ -31,6 +37,11 @@ GRAM_RTOL = 1e-9
 # Subband matrices per block: bounds the entries, magnitudes, scaled and
 # conjugated copies that exist at one time to about this many entries each.
 GRAM_BLOCK_ENTRIES = 2**15
+# Subbands from one exact-exp anchor row of the LoS entries to the next.
+ANCHOR_STRIDE = 16
+# How far, in eps * f_max, a subband center may lie off the line through the
+# first and last: subband_centers rounding leaves at most about 2.
+SPACING_TOL = 4.0
 
 
 class ZeroChannel(ValueError):
@@ -68,22 +79,62 @@ class UlaGeometry:
 
 class _LineOfSight:
     """A built channel's entries exp(-2j pi f_n d_km / c) / d_km, made on
-    demand for any run of subbands."""
+    demand for any run of subbands.
+
+    The subband centers are evenly spaced, f_n = f_a + (n - a) * delta, so
+    row n is row n - 1 times the step phasor exp(-2j pi delta d_km / c): one
+    complex multiply per entry. Each row n = 0 (mod ANCHOR_STRIDE) is an
+    exact anchor, the direct exp, and row n is that anchor times the step
+    n mod ANCHOR_STRIDE times, in that order. A read that starts between
+    anchors recomputes forward from the anchor below it, so any run of
+    subbands gives the same rows bit for bit, and nothing is kept between
+    reads but the distances, their inverses and the step.
+    """
 
     def __init__(self, dist: np.ndarray, freqs: np.ndarray):
+        n = np.arange(freqs.size)
+        spacing = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
+        off_line = np.abs(freqs - (freqs[0] + n * spacing))
+        if np.any(off_line > SPACING_TOL * np.finfo(float).eps * freqs[-1]):
+            raise ValueError("the subband centers must be evenly spaced")
         self.dist, self.freqs, self.shape = dist, freqs, (freqs.size, *dist.shape)
+        self.inv_dist = 1.0 / dist
+        self.step = _phasors(np.array([spacing]), dist)[0]
 
     def __getitem__(self, subbands: slice) -> np.ndarray:
-        freqs = self.freqs[subbands]
-        # Built in place, rounding as exp(-2j*pi*f*d / c) / d does: numpy divides
-        # a complex by a real x as a product with 1/x.
-        entries = np.zeros((freqs.size, *self.dist.shape), dtype=complex)
-        phase = entries.imag
-        np.multiply((-2.0 * np.pi) * freqs[:, None, None], self.dist, out=phase)
-        phase *= 1.0 / SPEED_OF_LIGHT
-        np.exp(entries, out=entries)
-        entries *= 1.0 / self.dist
-        return entries
+        start, stop, _ = subbands.indices(self.shape[0])
+        rows = np.empty((max(stop - start, 0), *self.dist.shape), dtype=complex)
+        first = -start % ANCHOR_STRIDE  # the first anchor's row in the block
+        rows[first::ANCHOR_STRIDE] = self._anchors(
+            self.freqs[start + first : stop : ANCHOR_STRIDE]
+        )
+        if first and rows.size:
+            # the first row, forward from the anchor below it
+            anchor = start - start % ANCHOR_STRIDE
+            rows[0] = self._anchors(self.freqs[anchor : anchor + 1])[0]
+            for _ in range(anchor, start):
+                np.multiply(rows[0], self.step, out=rows[0])
+        for i in range(1, rows.shape[0]):
+            if i % ANCHOR_STRIDE != first:
+                np.multiply(rows[i - 1], self.step, out=rows[i])
+        return rows
+
+    def _anchors(self, freqs: np.ndarray) -> np.ndarray:
+        """The rows at freqs by the direct exp, rounding as
+        exp(-2j*pi*f*d / c) / d does: numpy divides a complex by a real x as
+        a product with 1/x."""
+        rows = _phasors(freqs, self.dist)
+        rows *= self.inv_dist
+        return rows
+
+
+def _phasors(freqs: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """exp(-2j pi f d / c) for each f of freqs (axis 0) and d of dist."""
+    phasors = np.zeros((freqs.size, *dist.shape), dtype=complex)
+    phase = phasors.imag
+    np.multiply((-2.0 * np.pi) * freqs[:, None, None], dist, out=phase)
+    phase *= 1.0 / SPEED_OF_LIGHT
+    return np.exp(phasors, out=phasors)
 
 
 class MimoSpectrum(NamedTuple):
@@ -138,8 +189,10 @@ def build_mimo_channel(
     """Exact-distance LoS channel: entry (n,k,m) = (1/d_km) exp(-j 2 pi f_n d_km / c).
 
     d_km is the element-to-user Euclidean distance, so near-field curvature
-    is captured. Users must lie outside the array (range > aperture/2). The
-    spectrum is read here, in one pass over blocks of subbands; the
+    is captured. Users must lie outside the array (range > aperture/2), and
+    the subband centers must be evenly spaced, as FrequencyGrid.subband_centers
+    makes them: every f_n within SPACING_TOL * eps * f_max of f_0 + n * delta.
+    ValueError is raised otherwise. The spectrum is read here, in one pass over blocks of subbands; the
     N x K x M entries are never held at once, and .entries rebuilds them.
     """
     if np.any(users.ranges_m <= geometry.aperture_m / 2.0):

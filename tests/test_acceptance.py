@@ -15,6 +15,7 @@ max sigma_1^2(H_n) / max ||h_n||^2, which it prints per trial.
 import math
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lwacomm.channel import (
     InverseRangeLoss,
@@ -38,7 +39,7 @@ from lwacomm.mimo import (
     mimo_sum_rate,
     normalize_to_lwa,
 )
-from lwacomm.optimizer import waterfill
+from lwacomm.optimizer import AllGainsZero, waterfill
 from lwacomm.physics import (
     LwaConfig,
     diffraction_gain_grid,
@@ -170,6 +171,69 @@ def test_criterion_5_small_instance_global_optimality():
         f"{len(shortfalls)}/20 stop below the grid-global best, largest gap "
         f"{max(shortfalls, default=0.0):.2g} bits)",
     )
+
+
+@st.composite
+def replay_scenarios(draw):
+    """Scenarios over the optimizer's whole domain: b bounds reaching below
+    the cutoff of every subband, so some geometries and some whole grids
+    carry no gain, and budgets and noise over many decades."""
+
+    def interval(lo, hi):
+        return sorted(draw(st.floats(min_value=lo, max_value=hi)) for _ in range(2))
+
+    b_min_m, b_max_m = interval(0.15e-3, 1.5e-3)
+    slit_min_m, slit_max_m = interval(1e-3, 100e-3)
+    return ScenarioConfig(
+        num_subbands=draw(st.integers(1, 23)),
+        num_users=draw(st.integers(1, 39)),
+        b_min_m=b_min_m, b_max_m=b_max_m, slit_min_m=slit_min_m, slit_max_m=slit_max_m,
+        b_grid_points=draw(st.integers(1, 4)),
+        slit_grid_points=draw(st.integers(1, 4)),
+        power_budget=10.0 ** draw(st.floats(-9.0, 9.0)),
+        noise_variance=10.0 ** draw(st.floats(-3.0, 1.0)),
+        max_iterations=draw(st.integers(1, 10)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(replay_scenarios())
+def test_criterion_5_replay_on_random_scenarios(cfg):
+    # The package adds the users of ||h_n||^2 in order; the replay's
+    # channel_gains_squared adds them in numpy's pairwise order, which is the
+    # same order only for K < 8. For K >= 8 each gain differs by at most
+    # (K - 1) eps relative, which moves each floor sigma^2/g_n, and so each
+    # waterfilled power, by at most about 2 (K - 1) eps times the water level.
+    users = sample_users(cfg, 0)
+    grids = cfg.search_grids()
+    grid = cfg.frequency_grid()
+    noise = cfg.noise()
+    try:
+        result = optimize_scenario(cfg, users)
+    except (AllGainsZero, FloatingPointError) as exc:
+        with pytest.raises(type(exc)):
+            replay_alternating(
+                grids.b_grid, grids.L_grid, cfg.power_budget, grid, users, LOSS, noise,
+                cfg.max_iterations,
+            )
+        return
+    replay = replay_alternating(
+        grids.b_grid, grids.L_grid, cfg.power_budget, grid, users, LOSS, noise,
+        cfg.max_iterations,
+    )
+    assert [(r.b_m, r.L_m) for r in result.trace] == list(replay.trace)
+    assert result.stop_reason == ("fixed_point" if replay.fixed_point else "i_max")
+    powers = result.powers.powers
+    if cfg.num_users < 8:
+        assert np.array_equal(powers, replay.powers)
+    else:
+        chosen = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
+        gains = channel_gains_squared(chosen)
+        active = replay.powers > 0
+        level = np.max(replay.powers[active] + noise.variance_sigma2 / gains[active])
+        tol = 4 * cfg.num_users * np.finfo(float).eps * level
+        assert np.all(np.abs(powers - replay.powers) <= tol)
 
 
 def test_criterion_6_beampattern_qualitative():

@@ -92,3 +92,18 @@ def test_run_once_rejects_an_incorrect_run(monkeypatch, tmp_path):
     stub_run(monkeypatch, correct=False)
     with pytest.raises(RuntimeError, match="2 of 5 ops failed"):
         bench_pairs.run_once(tmp_path, "optimize-default", 1, 1.0)
+
+
+def test_main_creates_a_missing_workdir(monkeypatch, tmp_path):
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": [HIGHER]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda sha, dest: (dest / "src").mkdir(parents=True))
+    run = {"correct": True, "attempted": 1, "failed": 0, "metrics": {"ops_per_s": 3.0}}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: run)
+    workdir = tmp_path / "not" / "yet"
+    assert bench_pairs.main(["--pr", "7", "--pairs", "1", "--workdir", str(workdir)]) == 0
+    assert workdir.is_dir() and not any(workdir.iterdir())
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["workloads"]["w"]["runs"][0]["change"] == run

@@ -130,7 +130,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--workload", action="append", help="repeatable; default: BENCHMARK.json's")
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--workdir", help="where the temporary exports go")
+    parser.add_argument("--workdir", help="where the temporary exports go (created if missing)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -153,6 +153,8 @@ def main(argv=None) -> int:
         "workloads": {w: {"runs": []} for w in workloads},
     }
 
+    if args.workdir:
+        os.makedirs(args.workdir, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_", dir=args.workdir) as tmp:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
