@@ -192,8 +192,9 @@ def build_mimo_channel(
     is captured. Users must lie outside the array (range > aperture/2), and
     the subband centers must be evenly spaced, as FrequencyGrid.subband_centers
     makes them: every f_n within SPACING_TOL * eps * f_max of f_0 + n * delta.
-    ValueError is raised otherwise. The spectrum is read here, in one pass over blocks of subbands; the
-    N x K x M entries are never held at once, and .entries rebuilds them.
+    ValueError is raised otherwise. The spectrum is read here, in one pass
+    over blocks of subbands; the N x K x M entries are never held at once,
+    and .entries rebuilds them.
     """
     if np.any(users.ranges_m <= geometry.aperture_m / 2.0):
         raise ValueError("user ranges must exceed half the array aperture")
