@@ -1,14 +1,7 @@
 """Leaky-wave antenna aided wideband THz downlink: physics, channel model,
 joint geometry/power optimization, and a fully digital MIMO baseline."""
 
-from .physics import (
-    SPEED_OF_LIGHT,
-    CutoffViolation,
-    LwaConfig,
-    beam_peak_frequency,
-    diffraction_gain,
-    emission_angle,
-)
+from .physics import SPEED_OF_LIGHT, LwaConfig
 from .channel import (
     FrequencyGrid,
     InverseRangeLoss,

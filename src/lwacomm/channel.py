@@ -12,7 +12,7 @@ import numbers
 
 import numpy as np
 
-from .physics import LwaConfig, SPEED_OF_LIGHT, diffraction_gain_grid
+from .physics import LwaConfig, diffraction_gain_grid
 
 BEAMPATTERN_FLOOR = -300.0  # log10 value reported where the energy sum is zero
 # Most gain entries geometry_gains_squared evaluates in one call, counted
@@ -227,13 +227,3 @@ def beampattern(
     floor = np.full_like(energy, BEAMPATTERN_FLOOR)
     return np.log10(energy, out=floor, where=energy > 0.0)
 
-
-def frequency_bins_near_angle(
-    config: LwaConfig, grid: FrequencyGrid, angle_rad: float, halfwidth_rad: float
-) -> int:
-    """Count subbands whose emission angle falls within +/- halfwidth of angle."""
-    freqs = grid.frequencies
-    valid = freqs >= config.cutoff_frequency
-    ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * freqs[valid])
-    ang = np.arcsin(np.minimum(ratio, 1.0))  # at the cutoff, ratio can round above 1
-    return int(np.count_nonzero(np.abs(ang - angle_rad) <= halfwidth_rad))

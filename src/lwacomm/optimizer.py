@@ -21,6 +21,11 @@ import numpy as np
 from .channel import NoiseModel, rate_bits
 
 BUDGET_RTOL = 1e-9  # rounding allowance on sum(powers) <= budget
+# Relative gap, times N + 8, below which the geometry search ranks two keys
+# by rate_bits: a sum of N non-negative terms errs by at most (N - 1) eps/2
+# relative in any order, and rate_bits' three roundings (fsum, / ln 2, / N)
+# can make rates up to about 6 eps apart equal.
+NEAR_TIE_RTOL = 2.0 * np.finfo(float).eps
 
 
 class AllGainsZero(ValueError):
@@ -131,16 +136,26 @@ def grid_search_geometry(
     """Exhaustive argmax of the average sum-rate over the (b, L) grid.
 
     gains[i, j] holds ||h_n||^2 of geometry (grids.b_grid[i],
-    grids.L_grid[j]). Returns the indices (i, j) of the best geometry. Ties
-    break to the smallest b, then smallest L (the first maximum in b-major
-    order), so the result is deterministic.
+    grids.L_grid[j]). Returns the indices (i, j) of the geometry with the
+    largest rate_bits. Ties break to the smallest b, then smallest L (the
+    first maximum in b-major order), so the result is deterministic.
     """
     if gains.shape[:2] != (grids.b_grid.size, grids.L_grid.size):
         raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
     # ranking key: the rate times N ln 2, with log1p keeping per-subband
     # SNRs below eps apart
-    key = np.log1p(fixed_powers.powers / noise.variance_sigma2 * gains).sum(axis=-1)
-    i, j = np.unravel_index(np.argmax(key), key.shape)
+    powers = fixed_powers.powers
+    key = np.log1p(powers / noise.variance_sigma2 * gains).sum(axis=-1)
+    best = int(np.argmax(key))
+    # The key's sum rounds otherwise than rate_bits' fsum, so the geometries
+    # within NEAR_TIE_RTOL of the best key are ranked again by rate_bits.
+    n = gains.shape[-1]
+    near = np.flatnonzero(key >= key.flat[best] * (1.0 - NEAR_TIE_RTOL * (n + 8)))
+    if near.size > 1:
+        flat = gains.reshape(-1, n)
+        rates = [rate_bits(powers, flat[c], noise, n) for c in near]
+        best = int(near[rates.index(max(rates))])
+    i, j = np.unravel_index(best, key.shape)
     return int(i), int(j)
 
 

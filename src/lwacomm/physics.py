@@ -1,17 +1,16 @@
 """Leaky-wave antenna (LWA) emission physics.
 
 A guided wave travels between two parallel plates separated by b and leaks
-through a slit of length L. Each frequency component is radiated at its own
-azimuth angle (the "THz rainbow"), with a sinc-shaped diffraction pattern
-whose width shrinks as the slit grows.
+through a slit of length L. Each frequency f above the cutoff c/(2b) is
+radiated at its own azimuth angle arcsin(c/(2bf)) (the "THz rainbow"), with
+a sinc-shaped diffraction pattern whose width shrinks as the slit grows.
 
-All functions here are pure. LwaConfig is a plain class that checks its
-fields when it is built.
+diffraction_gain_grid is the one way in: the optimizer, the beampattern and
+the MIMO normalization all read the gain from it. It is pure; LwaConfig is a
+plain class that checks its fields when it is built.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,11 +19,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # Below this magnitude sin(z)/z is evaluated by series to avoid cancellation
 # at the beam peak, where the argument crosses zero.
 _SINC_SERIES_CUTOFF = 1e-6
-
-
-class CutoffViolation(ValueError):
-    """Frequency is below the waveguide cutoff c/(2b): the guided mode is
-    evanescent and no propagating emission angle exists."""
 
 
 class LwaConfig:
@@ -54,38 +48,6 @@ class LwaConfig:
         return SPEED_OF_LIGHT / (2.0 * self.plate_separation_b)
 
 
-def _require_propagating(config: LwaConfig, frequency: float) -> None:
-    if frequency < config.cutoff_frequency:
-        raise CutoffViolation(
-            f"frequency {frequency:.6g} Hz below cutoff "
-            f"{config.cutoff_frequency:.6g} Hz"
-        )
-
-
-def emission_angle(config: LwaConfig, frequency: float) -> float:
-    """Azimuth angle (rad) at which `frequency` is radiated: arcsin(c/(2bf)).
-
-    Strictly decreasing in frequency for fixed b. Raises CutoffViolation for
-    frequencies below the cutoff c/(2b), and ValueError for a frequency that
-    is not finite and > 0.
-    """
-    if not (math.isfinite(frequency) and frequency > 0):
-        raise ValueError("frequency must be finite and > 0")
-    _require_propagating(config, frequency)
-    ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequency)
-    return math.asin(min(ratio, 1.0))  # at the cutoff, ratio can round to 1 + 2^-52
-
-
-def beam_peak_frequency(config: LwaConfig, angle: float) -> float:
-    """Inverse of emission_angle: frequency radiated at `angle` (rad).
-
-    Defined for angles in (0, pi/2]; at pi/2 this is the cutoff frequency.
-    """
-    if not 0.0 < angle <= math.pi / 2:
-        raise ValueError("angle must lie in (0, pi/2]")
-    return SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * math.sin(angle))
-
-
 def _sinc(z: np.ndarray) -> np.ndarray:
     """Unnormalized sinc sin(z)/z of real z, sinc(0) = 1, in float64.
 
@@ -112,26 +74,15 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def diffraction_gain(config: LwaConfig, angle: float, frequency: float) -> float:
-    """Slit diffraction gain sinc[(beta - k0*cos(angle)) L/2].
-
-    beta = k0*sqrt(1 - (c/(2bf))^2) is the guided-mode phase constant and
-    k0 = 2*pi*f/c the free-space wavenumber. The gain is real, |G| <= 1, and
-    |G| = 1 exactly at the emission angle of `frequency`. Raises
-    CutoffViolation below cutoff, where no mode propagates, and ValueError
-    for a frequency that is not finite and > 0.
-    """
-    gain = diffraction_gain_grid(
-        config, np.asarray([angle], dtype=float), np.asarray([frequency], dtype=float)
-    )
-    _require_propagating(config, frequency)
-    return float(gain[0, 0])
-
-
 def diffraction_gain_grid(
     config: LwaConfig, angles: np.ndarray, frequencies: np.ndarray
 ) -> np.ndarray:
-    """Diffraction gain on the outer grid of `frequencies` x `angles`.
+    """Diffraction gain sinc[(beta - k0*cos(angle)) L/2] on the outer grid
+    of `frequencies` x `angles`.
+
+    beta = k0*sqrt(1 - (c/(2bf))^2) is the guided-mode phase constant and
+    k0 = 2*pi*f/c the free-space wavenumber. The gain is real, |G| <= 1,
+    and |G| = 1 at each frequency's emission angle arcsin(c/(2bf)).
 
     Returns an array of shape (len(frequencies), len(angles)), or
     (J, len(frequencies), len(angles)) when slit_length_L is a (J, 1, 1)

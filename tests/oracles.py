@@ -1,7 +1,10 @@
 """Independent oracles used to freeze and cross-check expected values.
 
 These deliberately avoid the code paths they validate: high-precision
-scalar evaluation via mpmath, exhaustive grid maximization over the
+scalar evaluation via mpmath (the emission angle arcsin(c/(2bf)), which the
+package has no function for, the diffraction gain against which the
+package's gain grid is checked, and the mean rate), the squared channel
+norms with the users added in order, exhaustive grid maximization over the
 power simplex organized as a max-plus convolution (every grid point is
 considered; the DP only reorders the enumeration), waterfilling solved in
 exact rational arithmetic, a brute-force replay of the alternating
@@ -46,8 +49,13 @@ def hp_diffraction_gain(b_m: str, L_m: str, freq_hz: str, angle_rad) -> complex:
 
 
 def channel_gains_squared(channel) -> np.ndarray:
-    """Per-subband squared norms ||h_n||^2 of an N x K channel array."""
-    return np.sum(np.abs(channel) ** 2, axis=1)
+    """Per-subband squared norms ||h_n||^2 of an N x K channel array, adding
+    the users k = 0, 1, ..., K-1 in order, the order the package uses."""
+    channel = np.asarray(channel)
+    total = np.abs(channel[:, 0]) ** 2
+    for k in range(1, channel.shape[1]):
+        total = total + np.abs(channel[:, k]) ** 2
+    return total
 
 
 def hp_average_sum_rate(gains_squared, powers, sigma2) -> float:

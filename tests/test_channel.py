@@ -17,15 +17,15 @@ from lwacomm.channel import (
     average_sum_rate,
     beampattern,
     build_channel,
-    frequency_bins_near_angle,
     geometry_gains_squared,
     rate_bits,
 )
 from lwacomm.experiments import export_beampattern_csv
-from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, emission_angle
+from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
 from oracles import (
     hp_average_sum_rate,
+    hp_emission_angle,
     reference_beampattern,
     reference_export_beampattern_csv,
 )
@@ -411,7 +411,9 @@ class TestBeampattern:
         powers = [0.0, 0.0, 1.0, 0.0]
         m = beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, self.RANGES)
         peak_angle = self.ANGLES[np.argmax(m[:, 0])]
-        want = emission_angle(self.CFG, self.GRID.frequencies[2])
+        want = hp_emission_angle(
+            repr(self.CFG.plate_separation_b), repr(float(self.GRID.frequencies[2]))
+        )
         assert abs(peak_angle - want) <= math.radians(1.0)
 
     def test_two_subbands_are_log_sum_of_singles(self):
@@ -518,17 +520,6 @@ class TestBeampattern:
         with pytest.raises(ValueError, match="does not match"):
             export_beampattern_csv(path, np.radians([10.0, 20.0]), [5.0, 10.0], np.zeros(shape))
         assert not path.exists()
-
-    def test_bin_counting_near_angle(self):
-        cfg = LwaConfig(1e-3, 20e-3)
-        grid = FrequencyGrid.subband_centers(200e9, 800e9, 40)
-        phi = emission_angle(cfg, grid.frequencies[10])
-        count = frequency_bins_near_angle(cfg, grid, phi, math.radians(2.0))
-        assert count >= 1
-        # the cutoff frequency radiates broadside, even where c/(2 b f) rounds above 1
-        cfg = LwaConfig(0.0005375138883100129, 20e-3)
-        grid = FrequencyGrid(np.array([cfg.cutoff_frequency, 2 * cfg.cutoff_frequency]))
-        assert frequency_bins_near_angle(cfg, grid, math.pi / 2, 1e-9) == 1
 
 
 class TestValidation:

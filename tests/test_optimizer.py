@@ -183,6 +183,37 @@ class TestGridSearch:
         assert result.chosen_L == 20e-3
         assert math.isclose(result.sum_rate, 9e-300 / 3 / math.log(2.0), rel_tol=1e-12)
 
+    def test_near_tie_is_ranked_by_rate_bits(self):
+        # two slit lengths 1 ulp apart: the summed log1p key ranks the second
+        # 1 ulp higher, while rate_bits ranks the first 1 ulp higher
+        grids = SearchGrids(np.array([1e-3]), np.array([1e-3, np.nextafter(1e-3, 1.0)]))
+        head = [0.06926679118988743, 0.058491311470005754]
+        gains = np.array([[
+            head + [0.046550225552241135, 0.03805343866561231],
+            head + [0.046550225552241115, 0.03805343866561232],
+        ]])
+        powers = PowerAllocation.uniform(4, 1.0)
+        rates = [rate_bits(powers.powers, g, NOISE, 4) for g in gains[0]]
+        assert rates[0] > rates[1]
+        assert grid_search_geometry(grids, powers, gains, NOISE) == (0, 0)
+
+    def test_argmax_is_the_first_maximum_of_rate_bits(self):
+        # geometries whose gains differ from a common row by a few ulps, where
+        # the summed key and rate_bits can order them differently
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            n = int(rng.integers(1, 12))
+            shape = (int(rng.integers(1, 4)), int(rng.integers(2, 6)))
+            row = rng.uniform(1e-3, 1.0, n)
+            gains = np.broadcast_to(row, (*shape, n)).copy()
+            for _ in range(int(rng.integers(1, 4))):
+                gains = np.nextafter(gains, rng.choice([0.0, 2.0], size=gains.shape))
+            powers = PowerAllocation(rng.uniform(0.0, 2.0, n), 2.0 * n)
+            grids = SearchGrids(np.ones(shape[0]), np.ones(shape[1]))
+            rates = [rate_bits(powers.powers, g, NOISE, n) for g in gains.reshape(-1, n)]
+            want = np.unravel_index(rates.index(max(rates)), shape)
+            assert grid_search_geometry(grids, powers, gains, NOISE) == want
+
     def test_argmax_invariant_under_common_gain_scaling(self):
         grid, users = make_draw(n_sub=6)
         grids = bounded_grids(4, 4)
