@@ -15,7 +15,7 @@ max sigma_1^2(H_n) / max ||h_n||^2, which it prints per trial.
 import math
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lwacomm.channel import (
     InverseRangeLoss,
@@ -201,6 +201,14 @@ def replay_scenarios(draw):
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(replay_scenarios())
+# two slit lengths 1 ulp apart whose summed log1p keys and rate_bits rank
+# them in opposite directions at the uniform start
+@example(ScenarioConfig(
+    num_subbands=4, num_users=14, b_min_m=0.00017722511419921298,
+    b_max_m=0.0013561014303911645, slit_min_m=0.001, slit_max_m=0.0010000000000000002,
+    b_grid_points=4, slit_grid_points=2, power_budget=1.0, noise_variance=1.0,
+    max_iterations=1, seed=0,
+))
 def test_criterion_5_replay_on_random_scenarios(cfg):
     # The package and the replay's channel_gains_squared both add the users of
     # ||h_n||^2 in order, so the powers agree bitwise for every K.
