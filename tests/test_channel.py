@@ -21,7 +21,7 @@ from lwacomm.channel import (
     rate_bits,
 )
 from lwacomm.experiments import export_beampattern_csv
-from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
+from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, diffraction_gain_grid
 
 from oracles import (
     hp_average_sum_rate,
@@ -520,6 +520,21 @@ class TestBeampattern:
         with pytest.raises(ValueError, match="does not match"):
             export_beampattern_csv(path, np.radians([10.0, 20.0]), [5.0, 10.0], np.zeros(shape))
         assert not path.exists()
+
+    def test_bin_counting_near_angle(self):
+        # a subband lies near an angle when its gain peaks within +/- 2 deg of
+        # it on a fine angle sweep that ends at broadside
+        angles = np.linspace(0.01, math.pi / 2, 9000)
+        cfg = LwaConfig(1e-3, 20e-3)
+        grid = FrequencyGrid.subband_centers(200e9, 800e9, 40)
+        phi = hp_emission_angle("0.001", repr(float(grid.frequencies[10])))
+        peaks = angles[np.argmax(diffraction_gain_grid(cfg, angles, grid.frequencies), axis=1)]
+        assert np.count_nonzero(np.abs(peaks - phi) <= math.radians(2.0)) >= 1
+        # the cutoff frequency radiates broadside, even where c/(2 b f) rounds above 1
+        cfg = LwaConfig(0.0005375138883100129, 20e-3)
+        freqs = np.array([cfg.cutoff_frequency, 2 * cfg.cutoff_frequency])
+        peaks = angles[np.argmax(diffraction_gain_grid(cfg, angles, freqs), axis=1)]
+        assert np.count_nonzero(np.abs(peaks - math.pi / 2) <= 1e-9) == 1
 
 
 class TestValidation:

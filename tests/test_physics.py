@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from lwacomm import physics
-from lwacomm.physics import LwaConfig, diffraction_gain_grid
+from lwacomm.channel import (
+    FrequencyGrid,
+    InverseRangeLoss,
+    NoiseModel,
+    UserSet,
+    beampattern,
+    build_channel,
+)
+from lwacomm.optimizer import AllGainsZero, waterfill
+from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig, diffraction_gain_grid
 
 from oracles import hp_diffraction_gain, hp_emission_angle, reference_diffraction_gain_grid
 
@@ -47,6 +56,19 @@ class TestEmissionAngle:
         for config in (B1MM, LwaConfig(0.0005375138883100129, 10e-3)):
             gains = diffraction_gain_grid(config, angles, np.array([config.cutoff_frequency]))
             assert angles[np.argmax(gains[0])] == math.pi / 2
+
+    def test_below_cutoff_raises(self):
+        # below c/(2b) no angle receives the frequency: the whole sweep is 0,
+        # so there is no emission angle, and no power can be put there
+        angles = np.linspace(0.01, math.pi / 2, 500)
+        gains = diffraction_gain_grid(B1MM, angles, np.array([100e9, 120e9]))
+        assert np.all(gains == 0.0)
+        with pytest.raises(AllGainsZero):
+            waterfill(np.max(gains ** 2, axis=1), 1.0, NoiseModel(1.0))
+
+    def test_nonpositive_frequency_rejected(self):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            diffraction_gain_grid(B1MM, np.linspace(0.01, math.pi / 2, 50), np.array([0.0]))
 
     def test_strictly_decreasing_in_frequency(self):
         freqs = np.linspace(160e9, 900e9, 200)
@@ -91,6 +113,25 @@ class TestDiffractionGain:
         # continuity across the series/direct switchover at |z| ~ 1e-6
         near = gain_at(B1MM, peak_angle(B1MM, 300e9) + 1e-9, 300e9)
         assert near == pytest.approx(1.0, abs=1e-10)
+
+    def test_below_cutoff_raises(self):
+        # the grid gives sub-cutoff subbands exactly 0, so a channel with only
+        # those subbands carries nothing and waterfilling it raises
+        freqs = np.array([100e9, np.nextafter(B1MM.cutoff_frequency, 0.0)])
+        assert np.all(diffraction_gain_grid(B1MM, np.array([0.5]), freqs) == 0.0)
+        users = UserSet(np.array([0.5, 1.2]), np.array([10.0, 20.0]))
+        channel = build_channel(B1MM, FrequencyGrid(freqs), users, InverseRangeLoss())
+        with pytest.raises(AllGainsZero):
+            waterfill(np.sum(channel ** 2, axis=1), 1.0, NoiseModel(1.0))
+
+    def test_grid_matches_scalar(self):
+        # each entry of the outer grid equals the gain evaluated at its point alone
+        angles = np.array([0.3, 0.9, 1.4])
+        freqs = np.array([250e9, 610e9])
+        grid = diffraction_gain_grid(B1MM, angles, freqs)
+        for i, f in enumerate(freqs):
+            for j, a in enumerate(angles):
+                assert grid[i, j] == pytest.approx(gain_at(B1MM, a, f))
 
     def test_grid_matches_oracle(self):
         angles = np.array([0.3, 0.9, 1.4])
@@ -271,6 +312,46 @@ class TestPlateSeparationAxis:
         assert physics._sinc(np.array([])).shape == (0,)
 
 
+class TestBeamPeakFrequency:
+    """Read along frequency at a fixed angle phi, the grid peaks at the
+    frequency c/(2b sin phi) that radiates phi."""
+
+    def test_known_value(self):
+        phi = peak_angle(B1MM, 300e9)
+        freqs = 300e9 + np.arange(-50, 51) * 1e7  # freqs[50] is 300 GHz
+        gains = diffraction_gain_grid(B1MM, np.array([phi]), freqs)[:, 0]
+        assert np.argmax(gains) == 50
+        assert gains[50] == pytest.approx(1.0, abs=1e-12)
+
+    def test_broadside_gives_cutoff(self):
+        fc = B1MM.cutoff_frequency
+        freqs = np.concatenate([[np.nextafter(fc, 0.0)], fc + np.arange(0, 100) * 1e8])
+        gains = diffraction_gain_grid(B1MM, np.array([math.pi / 2]), freqs)[:, 0]
+        assert gains[0] == 0.0
+        assert np.argmax(gains) == 1
+        assert gains[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_round_trip(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            phi = rng.uniform(0.05, math.pi / 2)
+            f = SPEED_OF_LIGHT / (2.0 * B1MM.plate_separation_b * math.sin(phi))
+            assert gain_at(B1MM, phi, f) == pytest.approx(1.0, abs=1e-12)
+            assert peak_angle(B1MM, f) == pytest.approx(phi, rel=1e-12)
+
+    @pytest.mark.parametrize("angle", [0.0, -0.1, math.pi / 2 + 1e-9, math.pi])
+    def test_domain_errors(self, angle):
+        # beams exist for angles in (0, pi/2]; users and beampattern angle
+        # grids, the angles the gain is evaluated at, must lie there
+        with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+            UserSet(np.array([angle]), np.array([10.0]))
+        with pytest.raises(ValueError, match=r"\(0, pi/2\]"):
+            beampattern(
+                B1MM, FrequencyGrid(np.array([300e9])), [1.0], InverseRangeLoss(),
+                np.array([angle]), np.array([10.0]),
+            )
+
+
 class TestProperties:
     def test_peak_location_on_angle_grid(self):
         rng = np.random.default_rng(11)
@@ -314,8 +395,13 @@ class TestValidation:
     @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf, 0.0, -300e9])
     @pytest.mark.parametrize(
         "evaluate",
-        [lambda f: diffraction_gain_grid(B1MM, np.array([0.5]), np.array([300e9, f]))],
-        ids=["diffraction_gain_grid"],
+        [
+            # the angle sweep whose argmax is the emission angle of f
+            lambda f: diffraction_gain_grid(B1MM, np.linspace(0.01, math.pi / 2, 50), [f]),
+            lambda f: gain_at(B1MM, 0.5, f),
+            lambda f: diffraction_gain_grid(B1MM, np.array([0.5]), np.array([300e9, f])),
+        ],
+        ids=["emission_angle", "diffraction_gain", "diffraction_gain_grid"],
     )
     def test_bad_frequency(self, evaluate, f):
         # NaN fails every comparison, so it used to pass the cutoff check
