@@ -11,10 +11,12 @@ spectrum is taken in one pass over blocks of subbands without keeping the
 N x K x M entries, so the baseline's memory is of the order of one block.
 The entries are made by a phasor recurrence over the evenly spaced subband
 centers, one complex multiply per entry, with the direct exp as an anchor
-every ANCHOR_STRIDE subbands. Each entry lies within 4 Phi_max eps relative
-of its exact value (Phi_max = 2 pi f_max d_max / c, the largest phase), the
-same bound the direct exp meets, since rounding the phase argument already
-costs it about Phi_max eps.
+every ANCHOR_STRIDE subbands. The source carries its last row from one
+block to the next, so the pass takes one exp per anchor whatever the block
+size. Each entry lies within 4 Phi_max eps relative of its exact value
+(Phi_max = 2 pi f_max d_max / c, the largest phase), the same bound the
+direct exp meets, since rounding the phase argument already costs it about
+Phi_max eps.
 """
 
 from __future__ import annotations
@@ -85,10 +87,12 @@ class _LineOfSight:
     row n is row n - 1 times the step phasor exp(-2j pi delta d_km / c): one
     complex multiply per entry. Each row n = 0 (mod ANCHOR_STRIDE) is an
     exact anchor, the direct exp, and row n is that anchor times the step
-    n mod ANCHOR_STRIDE times, in that order. A read that starts between
-    anchors recomputes forward from the anchor below it, so any run of
-    subbands gives the same rows bit for bit, and nothing is kept between
-    reads but the distances, their inverses and the step.
+    n mod ANCHOR_STRIDE times, in that order. The source keeps a copy of
+    the last row it returned: a read that starts right after it, between
+    anchors, goes on from it with one multiply, and any other read that
+    starts between anchors recomputes forward from the anchor below it.
+    That copy is the same product chain, so any run of subbands, read in
+    any order, gives the same rows bit for bit. Keys are slices of step 1.
     """
 
     def __init__(self, dist: np.ndarray, freqs: np.ndarray):
@@ -100,23 +104,34 @@ class _LineOfSight:
         self.dist, self.freqs, self.shape = dist, freqs, (freqs.size, *dist.shape)
         self.inv_dist = 1.0 / dist
         self.step = _phasors(np.array([spacing]), dist)[0]
+        self.tail_index, self.tail = None, None  # the last row returned
 
     def __getitem__(self, subbands: slice) -> np.ndarray:
-        start, stop, _ = subbands.indices(self.shape[0])
+        if not isinstance(subbands, slice):
+            raise TypeError(f"subbands must be a slice, got {type(subbands).__name__}")
+        start, stop, stride = subbands.indices(self.shape[0])
+        if stride != 1:
+            raise ValueError(f"subbands must be a slice of step 1, got step {stride}")
         rows = np.empty((max(stop - start, 0), *self.dist.shape), dtype=complex)
         first = -start % ANCHOR_STRIDE  # the first anchor's row in the block
         rows[first::ANCHOR_STRIDE] = self._anchors(
             self.freqs[start + first : stop : ANCHOR_STRIDE]
         )
         if first and rows.size:
-            # the first row, forward from the anchor below it
-            anchor = start - start % ANCHOR_STRIDE
-            rows[0] = self._anchors(self.freqs[anchor : anchor + 1])[0]
-            for _ in range(anchor, start):
-                np.multiply(rows[0], self.step, out=rows[0])
+            if self.tail_index == start - 1:  # on from the last row returned
+                np.multiply(self.tail, self.step, out=rows[0])
+            else:  # the first row, forward from the anchor below it
+                anchor = start - start % ANCHOR_STRIDE
+                rows[0] = self._anchors(self.freqs[anchor : anchor + 1])[0]
+                for _ in range(anchor, start):
+                    np.multiply(rows[0], self.step, out=rows[0])
         for i in range(1, rows.shape[0]):
             if i % ANCHOR_STRIDE != first:
                 np.multiply(rows[i - 1], self.step, out=rows[i])
+        if rows.size:
+            # a copy: a view would keep the whole block alive, and the
+            # caller may write to it
+            self.tail_index, self.tail = stop - 1, rows[-1].copy()
         return rows
 
     def _anchors(self, freqs: np.ndarray) -> np.ndarray:

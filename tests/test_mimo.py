@@ -134,18 +134,73 @@ class TestLineOfSightSource:
             for stop in (start + 1, start + 3, start + stride + 2, n):
                 assert np.array_equal(source[start:stop], whole[start:stop]), (start, stop)
 
-    def test_spectrum_of_the_rows_equals_spectrum_of_the_source(self, monkeypatch):
-        # 3-subband blocks, so most reads start between anchors
-        config = ScenarioConfig(num_subbands=40, num_users=3, mimo_elements=8)
+    @pytest.fixture
+    def three_subband_blocks(self, monkeypatch):
+        """SMALL's spectrum read in 3-subband blocks, so most reads start
+        between anchors."""
         monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", 3 * 3 * 8)
-        users = sample_users(config, 2)
-        built = build_mimo_channel(config.ula(), config.frequency_grid(), users)
+
+    def test_spectrum_of_the_rows_equals_spectrum_of_the_source(self, three_subband_blocks):
+        built = build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), sample_users(SMALL, 2))
         blocks = RecordedBlocks(built.source[:])
         read = mimo_spectrum(blocks)
         assert len(blocks.reads) == 14
-        assert read.peak == built.peak
-        assert np.array_equal(read.subband_peaks, built.subband_peaks)
-        assert np.array_equal(read.eigenvalues, built.eigenvalues)
+        assert_same_spectrum(read, built)
+
+    def test_spectrum_takes_one_exp_per_anchor(self, three_subband_blocks, monkeypatch):
+        exp_rows = []
+        phasors = mimo._phasors
+
+        def spy(freqs, dist):
+            exp_rows.append(freqs.size)
+            return phasors(freqs, dist)
+
+        monkeypatch.setattr(mimo, "_phasors", spy)
+        built = build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), sample_users(SMALL, 2))
+        # the anchors, and the step row
+        assert sum(exp_rows) == math.ceil(SMALL.num_subbands / mimo.ANCHOR_STRIDE) + 1
+        assert_same_spectrum(mimo_spectrum(built.source[:]), built)
+
+    def test_consecutive_blocks_of_every_size_give_the_same_rows(self):
+        source = small_source(3)
+        whole = source[:]
+        n = whole.shape[0]
+        for size in range(1, 2 * mimo.ANCHOR_STRIDE + 2):
+            for start in range(0, n, size):
+                assert_rows(source, whole, start, start + size)
+
+    def test_reads_out_of_order_give_the_same_rows(self):
+        source = small_source(3)
+        whole = source[:]
+        n = whole.shape[0]
+        for start in range(n - 5, -5, -5):  # backwards
+            assert_rows(source, whole, start, start + 5)
+        # the same block twice, a gap of one row, resumed, the gap filled, resumed
+        for start, stop in [(5, 9), (5, 9), (10, 15), (15, 20), (9, 10), (20, 37)]:
+            assert_rows(source, whole, start, stop)
+        rows = source[20:23]
+        rows[:] = 0.0  # a caller's write to the block it read
+        assert_rows(source, whole, 23, 26)
+
+    def test_sources_read_alternately_keep_their_own_rows(self):
+        sources = [small_source(3), small_source(4)]
+        wholes = [source[:] for source in sources]
+        assert not np.array_equal(*wholes)
+        for start in range(0, wholes[0].shape[0], 3):
+            for source, whole in zip(sources, wholes):
+                assert_rows(source, whole, start, start + 3)
+
+    @pytest.mark.parametrize("key", [3, np.int64(3), (slice(None),), [0, 1]], ids=repr)
+    def test_key_that_is_not_a_slice_rejected(self, key):
+        with pytest.raises(TypeError, match="must be a slice"):
+            small_source(3)[key]
+
+    @pytest.mark.parametrize(
+        "key", [slice(0, 10, 2), slice(None, None, -1), slice(5, 0, -1)], ids=str
+    )
+    def test_slice_step_other_than_one_rejected(self, key):
+        with pytest.raises(ValueError, match="step 1"):
+            small_source(3)[key]
 
     def test_uneven_grid_rejected(self):
         grid = FrequencyGrid(np.array([200e9, 300e9, 500e9]))
@@ -171,6 +226,27 @@ class TestLineOfSightSource:
             return
         spectrum = build_mimo_channel(UlaGeometry(1, 500e9), grid, USERS)
         assert spectrum.eigenvalues.shape == (n, 1)
+
+
+# 40 subbands (anchors at 0, 16 and 32), small enough to read row by row
+SMALL = ScenarioConfig(num_subbands=40, num_users=3, mimo_elements=8)
+
+
+def small_source(trial):
+    """The line-of-sight block source of SMALL's draw trial."""
+    users = sample_users(SMALL, trial)
+    return build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), users).source
+
+
+def assert_rows(source, whole, start, stop):
+    """source[start:stop] equals the rows of whole, source[:], bitwise."""
+    assert np.array_equal(source[start:stop], whole[start:stop]), (start, stop)
+
+
+def assert_same_spectrum(read, built):
+    assert read.peak == built.peak
+    assert np.array_equal(read.subband_peaks, built.subband_peaks)
+    assert np.array_equal(read.eigenvalues, built.eigenvalues)
 
 
 class RecordedBlocks:
