@@ -132,7 +132,7 @@ class TestLineOfSightSource:
         # from an anchor, between anchors, one before an anchor, and the last row
         for start in (0, stride, 5, stride + 5, 2 * stride - 1, n - 1):
             for stop in (start + 1, start + 3, start + stride + 2, n):
-                assert np.array_equal(source[start:stop], whole[start:stop]), (start, stop)
+                assert_rows(source, whole, start, stop)
 
     @pytest.fixture
     def three_subband_blocks(self, monkeypatch):
