@@ -11,12 +11,12 @@ spectrum is taken in one pass over blocks of subbands without keeping the
 N x K x M entries, so the baseline's memory is of the order of one block.
 The entries are made by a phasor recurrence over the evenly spaced subband
 centers, one complex multiply per entry, with the direct exp as an anchor
-every ANCHOR_STRIDE subbands. The source carries its last row from one
-block to the next, so the pass takes one exp per anchor whatever the block
-size. Each entry lies within 4 Phi_max eps relative of its exact value
-(Phi_max = 2 pi f_max d_max / c, the largest phase), the same bound the
-direct exp meets, since rounding the phase argument already costs it about
-Phi_max eps.
+every ANCHOR_STRIDE subbands. They are made in order from subband 0, each
+block going on from the last row of the one before, so the pass takes one
+exp per anchor whatever the block size. Each entry lies within 4 Phi_max
+eps relative of its exact value (Phi_max = 2 pi f_max d_max / c, the
+largest phase), the same bound the direct exp meets, since rounding the
+phase argument already costs it about Phi_max eps.
 """
 
 from __future__ import annotations
@@ -79,68 +79,49 @@ class UlaGeometry:
         return (self.num_elements_M - 1) * self.spacing_m
 
 
-class _LineOfSight:
-    """A built channel's entries exp(-2j pi f_n d_km / c) / d_km, made on
-    demand for any run of subbands.
+class _LineOfSight(NamedTuple):
+    """A built channel's entries exp(-2j pi f_n d_km / c) / d_km, made in
+    order from subband 0 by blocks.
 
     The subband centers are evenly spaced, f_n = f_a + (n - a) * delta, so
     row n is row n - 1 times the step phasor exp(-2j pi delta d_km / c): one
     complex multiply per entry. Each row n = 0 (mod ANCHOR_STRIDE) is an
     exact anchor, the direct exp, and row n is that anchor times the step
-    n mod ANCHOR_STRIDE times, in that order. The source keeps a copy of
-    the last row it returned: a read that starts right after it, between
-    anchors, goes on from it with one multiply, and any other read that
-    starts between anchors recomputes forward from the anchor below it.
-    That copy is the same product chain, so any run of subbands, read in
-    any order, gives the same rows bit for bit. Keys are slices of step 1.
-    """
+    n mod ANCHOR_STRIDE times, in that order, whatever the block size."""
 
-    def __init__(self, dist: np.ndarray, freqs: np.ndarray):
+    dist: np.ndarray
+    freqs: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return (self.freqs.size, *self.dist.shape)
+
+    def blocks(self, rows: int):
+        """Consecutive blocks of at most rows subbands, from subband 0 to the
+        last. A block's last row goes on into the next block, so a block must
+        not be written before the next one is read."""
+        dist, freqs = self.dist, self.freqs
         n = np.arange(freqs.size)
         spacing = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
         off_line = np.abs(freqs - (freqs[0] + n * spacing))
         if np.any(off_line > SPACING_TOL * np.finfo(float).eps * freqs[-1]):
             raise ValueError("the subband centers must be evenly spaced")
-        self.dist, self.freqs, self.shape = dist, freqs, (freqs.size, *dist.shape)
-        self.inv_dist = 1.0 / dist
-        self.step = _phasors(np.array([spacing]), dist)[0]
-        self.tail_index, self.tail = None, None  # the last row returned
-
-    def __getitem__(self, subbands: slice) -> np.ndarray:
-        if not isinstance(subbands, slice):
-            raise TypeError(f"subbands must be a slice, got {type(subbands).__name__}")
-        start, stop, stride = subbands.indices(self.shape[0])
-        if stride != 1:
-            raise ValueError(f"subbands must be a slice of step 1, got step {stride}")
-        rows = np.empty((max(stop - start, 0), *self.dist.shape), dtype=complex)
-        first = -start % ANCHOR_STRIDE  # the first anchor's row in the block
-        rows[first::ANCHOR_STRIDE] = self._anchors(
-            self.freqs[start + first : stop : ANCHOR_STRIDE]
-        )
-        if first and rows.size:
-            if self.tail_index == start - 1:  # on from the last row returned
-                np.multiply(self.tail, self.step, out=rows[0])
-            else:  # the first row, forward from the anchor below it
-                anchor = start - start % ANCHOR_STRIDE
-                rows[0] = self._anchors(self.freqs[anchor : anchor + 1])[0]
-                for _ in range(anchor, start):
-                    np.multiply(rows[0], self.step, out=rows[0])
-        for i in range(1, rows.shape[0]):
-            if i % ANCHOR_STRIDE != first:
-                np.multiply(rows[i - 1], self.step, out=rows[i])
-        if rows.size:
-            # a copy: a view would keep the whole block alive, and the
-            # caller may write to it
-            self.tail_index, self.tail = stop - 1, rows[-1].copy()
-        return rows
-
-    def _anchors(self, freqs: np.ndarray) -> np.ndarray:
-        """The rows at freqs by the direct exp, rounding as
-        exp(-2j*pi*f*d / c) / d does: numpy divides a complex by a real x as
-        a product with 1/x."""
-        rows = _phasors(freqs, self.dist)
-        rows *= self.inv_dist
-        return rows
+        inv_dist = 1.0 / dist
+        step = _phasors(np.array([spacing]), dist)[0]
+        prev = None  # the row before the block
+        for start in range(0, freqs.size, rows):
+            block = np.empty((min(rows, freqs.size - start), *dist.shape), dtype=complex)
+            first = -start % ANCHOR_STRIDE  # the first anchor's row in the block
+            # the direct exp, rounding as exp(-2j*pi*f*d / c) / d does: numpy
+            # divides a complex by a real x as a product with 1/x
+            anchors = _phasors(freqs[start + first : start + rows : ANCHOR_STRIDE], dist)
+            anchors *= inv_dist
+            block[first::ANCHOR_STRIDE] = anchors
+            for i, row in enumerate(block):
+                if (start + i) % ANCHOR_STRIDE:
+                    np.multiply(prev, step, out=row)
+                prev = row
+            yield block
 
 
 def _phasors(freqs: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -157,36 +138,41 @@ class MimoSpectrum(NamedTuple):
     largest |entry| of H; per subband H_n, its largest real or imaginary
     part p_n; the ascending eigenvalues of the Gram matrix of H_n / p_n
     on its short side, shape (N, min(K, M)); and the source H was read
-    from, an explicit array or a block source (see mimo_spectrum)."""
+    from, an explicit array or a built line of sight."""
 
     peak: float
     subband_peaks: np.ndarray
     eigenvalues: np.ndarray
-    source: object
+    source: np.ndarray | _LineOfSight
 
     @property
     def entries(self) -> np.ndarray:
-        """H: the explicit array, or rebuilt whole from the block source on
-        every access (only the SVD fallback of mimo_sum_rate and tests read
-        it)."""
+        """H: the explicit array, or the line of sight rebuilt as one block
+        on every access (only the SVD fallback of mimo_sum_rate and tests
+        read it)."""
         source = self.source
-        return source if isinstance(source, np.ndarray) else source[:]
+        if isinstance(source, np.ndarray):
+            return source
+        return next(source.blocks(source.shape[0]))
 
 
-def mimo_spectrum(entries) -> MimoSpectrum:
-    """The spectrum of entries (an N x K x M array, or any block source: an
-    object with its .shape whose [subbands] gives those subbands' entries),
-    read about GRAM_BLOCK_ENTRIES entries of whole subbands at a time. Each
-    subband is scaled to a largest real or imaginary part of 1 before its
-    Gram is formed, so the Gram cannot underflow or overflow."""
+def mimo_spectrum(entries: np.ndarray | _LineOfSight) -> MimoSpectrum:
+    """The spectrum of entries, an N x K x M array or a built line of sight,
+    read in order by blocks of about GRAM_BLOCK_ENTRIES entries of whole
+    subbands. Each subband is scaled to a largest real or imaginary part of
+    1 before its Gram is formed, so the Gram cannot underflow or overflow."""
     n, K, M = entries.shape
     step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
+    if isinstance(entries, np.ndarray):
+        blocks = (entries[start : start + step] for start in range(0, n, step))
+    else:
+        blocks = entries.blocks(step)
     peak = 0.0
     subband_peaks = np.empty(n)
     eigs = np.empty((n, min(K, M)))
-    for start in range(0, n, step):
+    for start, block in zip(range(0, n, step), blocks):
         subbands = slice(start, start + step)
-        block = np.ascontiguousarray(entries[subbands])
+        block = np.ascontiguousarray(block)
         peak = np.maximum(peak, np.abs(block).max())  # not max(): a nan must propagate
         scale = np.abs(block.view(float)).max(axis=(1, 2))
         inv_scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)

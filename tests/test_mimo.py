@@ -126,28 +126,24 @@ class TestLineOfSightSource:
     def test_any_run_of_subbands_gives_the_same_rows(self, config):
         users = sample_users(config, 1)
         source = build_mimo_channel(config.ula(), config.frequency_grid(), users).source
-        whole = source[:]
-        n = whole.shape[0]
+        whole = next(source.blocks(source.shape[0]))
         stride = mimo.ANCHOR_STRIDE
-        # from an anchor, between anchors, one before an anchor, and the last row
-        for start in (0, stride, 5, stride + 5, 2 * stride - 1, n - 1):
-            for stop in (start + 1, start + 3, start + stride + 2, n):
-                assert_rows(source, whole, start, stop)
+        # blocks of one row, of a few, past an anchor, and the whole band
+        for size in (1, 3, stride + 2, whole.shape[0]):
+            assert_blocks(source, whole, size)
 
-    @pytest.fixture
-    def three_subband_blocks(self, monkeypatch):
-        """SMALL's spectrum read in 3-subband blocks, so most reads start
-        between anchors."""
+    def test_spectrum_of_the_rows_equals_spectrum_of_the_source(self, monkeypatch):
+        for config, trial in [(SMALL, 2), (CONFIGS[1], 1)]:
+            users = sample_users(config, trial)
+            n, K, M = config.num_subbands, config.num_users, config.mimo_elements
+            for rows in (1, 3, mimo.ANCHOR_STRIDE, mimo.ANCHOR_STRIDE + 1, n):
+                monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", rows * K * M)
+                built = build_mimo_channel(config.ula(), config.frequency_grid(), users)
+                assert_same_spectrum(mimo_spectrum(built.entries), built)
+
+    def test_spectrum_takes_one_exp_per_anchor(self, monkeypatch):
+        # 3-subband blocks, so most blocks start between anchors
         monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", 3 * 3 * 8)
-
-    def test_spectrum_of_the_rows_equals_spectrum_of_the_source(self, three_subband_blocks):
-        built = build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), sample_users(SMALL, 2))
-        blocks = RecordedBlocks(built.source[:])
-        read = mimo_spectrum(blocks)
-        assert len(blocks.reads) == 14
-        assert_same_spectrum(read, built)
-
-    def test_spectrum_takes_one_exp_per_anchor(self, three_subband_blocks, monkeypatch):
         exp_rows = []
         phasors = mimo._phasors
 
@@ -159,48 +155,21 @@ class TestLineOfSightSource:
         built = build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), sample_users(SMALL, 2))
         # the anchors, and the step row
         assert sum(exp_rows) == math.ceil(SMALL.num_subbands / mimo.ANCHOR_STRIDE) + 1
-        assert_same_spectrum(mimo_spectrum(built.source[:]), built)
+        assert_same_spectrum(mimo_spectrum(built.entries), built)
 
     def test_consecutive_blocks_of_every_size_give_the_same_rows(self):
         source = small_source(3)
-        whole = source[:]
-        n = whole.shape[0]
+        whole = next(source.blocks(source.shape[0]))
         for size in range(1, 2 * mimo.ANCHOR_STRIDE + 2):
-            for start in range(0, n, size):
-                assert_rows(source, whole, start, start + size)
-
-    def test_reads_out_of_order_give_the_same_rows(self):
-        source = small_source(3)
-        whole = source[:]
-        n = whole.shape[0]
-        for start in range(n - 5, -5, -5):  # backwards
-            assert_rows(source, whole, start, start + 5)
-        # the same block twice, a gap of one row, resumed, the gap filled, resumed
-        for start, stop in [(5, 9), (5, 9), (10, 15), (15, 20), (9, 10), (20, 37)]:
-            assert_rows(source, whole, start, stop)
-        rows = source[20:23]
-        rows[:] = 0.0  # a caller's write to the block it read
-        assert_rows(source, whole, 23, 26)
+            assert_blocks(source, whole, size)
 
     def test_sources_read_alternately_keep_their_own_rows(self):
         sources = [small_source(3), small_source(4)]
-        wholes = [source[:] for source in sources]
+        wholes = [next(source.blocks(source.shape[0])) for source in sources]
         assert not np.array_equal(*wholes)
-        for start in range(0, wholes[0].shape[0], 3):
-            for source, whole in zip(sources, wholes):
-                assert_rows(source, whole, start, start + 3)
-
-    @pytest.mark.parametrize("key", [3, np.int64(3), (slice(None),), [0, 1]], ids=repr)
-    def test_key_that_is_not_a_slice_rejected(self, key):
-        with pytest.raises(TypeError, match="must be a slice"):
-            small_source(3)[key]
-
-    @pytest.mark.parametrize(
-        "key", [slice(0, 10, 2), slice(None, None, -1), slice(5, 0, -1)], ids=str
-    )
-    def test_slice_step_other_than_one_rejected(self, key):
-        with pytest.raises(ValueError, match="step 1"):
-            small_source(3)[key]
+        pairs = list(zip(*(source.blocks(3) for source in sources)))  # read in turn
+        for blocks, whole in zip(zip(*pairs), wholes):
+            assert np.array_equal(np.concatenate(blocks), whole)
 
     def test_uneven_grid_rejected(self):
         grid = FrequencyGrid(np.array([200e9, 300e9, 500e9]))
@@ -233,32 +202,25 @@ SMALL = ScenarioConfig(num_subbands=40, num_users=3, mimo_elements=8)
 
 
 def small_source(trial):
-    """The line-of-sight block source of SMALL's draw trial."""
+    """The line-of-sight source of SMALL's draw trial."""
     users = sample_users(SMALL, trial)
     return build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), users).source
 
 
-def assert_rows(source, whole, start, stop):
-    """source[start:stop] equals the rows of whole, source[:], bitwise."""
-    assert np.array_equal(source[start:stop], whole[start:stop]), (start, stop)
+def assert_blocks(source, whole, size):
+    """source.blocks(size) are consecutive blocks of size rows (the last may
+    be shorter) that give the rows of whole, one block of the whole band,
+    bitwise."""
+    blocks = list(source.blocks(size))
+    assert all(len(block) == size for block in blocks[:-1]), size
+    assert 0 < len(blocks[-1]) <= size, size
+    assert np.array_equal(np.concatenate(blocks), whole), size
 
 
 def assert_same_spectrum(read, built):
     assert read.peak == built.peak
     assert np.array_equal(read.subband_peaks, built.subband_peaks)
     assert np.array_equal(read.eigenvalues, built.eigenvalues)
-
-
-class RecordedBlocks:
-    """An explicit tensor as a source of subband blocks that records which
-    runs of subbands are read."""
-
-    def __init__(self, entries):
-        self.entries, self.shape, self.reads = entries, entries.shape, []
-
-    def __getitem__(self, subbands):
-        self.reads.append(subbands)
-        return self.entries[subbands]
 
 
 def lwa_peak(grid=GRID, users=USERS, b=1e-3, L=20e-3):
@@ -343,13 +305,19 @@ class TestNormalization:
         rng = np.random.default_rng(11)
         entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         entries[-1, 1, 5] = 7.0 - 6.0j  # the largest tap, in the last block
-        blocks = RecordedBlocks(entries)
+        reads = []  # the eigenvalues of each block's Grams, in the order read
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(grams):
+            reads.append(eigvalsh(grams))
+            return reads[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         lwa_max = lwa_peak()
-        spectrum = mimo_spectrum(blocks)
+        spectrum = mimo_spectrum(entries)
         factor = normalize_to_lwa(spectrum, lwa_max)
-        assert len(blocks.reads) >= 4
-        assert [s.start for s in blocks.reads[1:]] == [s.stop for s in blocks.reads[:-1]]
-        assert blocks.reads[0].start == 0 and blocks.reads[-1].stop >= shape[0]
+        assert len(reads) >= 4
+        assert np.array_equal(np.concatenate(reads), spectrum.eigenvalues)
         assert spectrum.peak == float(np.max(np.abs(entries)))
         assert factor == lwa_max / float(np.max(np.abs(entries)))
 
