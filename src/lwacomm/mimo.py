@@ -9,6 +9,10 @@ frequency bins.
 Both read only the channel's MimoSpectrum and one scalar factor. The
 spectrum is taken in one pass over blocks of subbands without keeping the
 N x K x M entries, so the baseline's memory is of the order of one block.
+Every entry has magnitude 1/d_km at every frequency, so the largest is
+1/d_min, known before any entry is made; the pass makes the entries times
+d_min, which are at most 1 in magnitude, and forms each Gram from them as
+made, with no pass over the entries for their magnitudes.
 The entries are made by a phasor recurrence over the evenly spaced subband
 centers, one complex multiply per entry, with the direct exp as an anchor
 every ANCHOR_STRIDE subbands. They are made in order from subband 0, each
@@ -36,8 +40,8 @@ from .physics import SPEED_OF_LIGHT
 # r * eps * lambda_max, so only those at or above r * eps / GRAM_RTOL times
 # the subband's largest are resolved; the rest are treated as 0.
 GRAM_RTOL = 1e-9
-# Subband matrices per block: bounds the entries, magnitudes, scaled and
-# conjugated copies that exist at one time to about this many entries each.
+# Subband matrices per block: bounds the entries and conjugated copies that
+# exist at one time to about this many entries each.
 GRAM_BLOCK_ENTRIES = 2**15
 # Subbands from one exact-exp anchor row of the LoS entries to the next.
 ANCHOR_STRIDE = 16
@@ -96,17 +100,18 @@ class _LineOfSight(NamedTuple):
     def shape(self) -> tuple:
         return (self.freqs.size, *self.dist.shape)
 
-    def blocks(self, rows: int):
+    def blocks(self, rows: int, scale: float = 1.0):
         """Consecutive blocks of at most rows subbands, from subband 0 to the
-        last. A block's last row goes on into the next block, so a block must
-        not be written before the next one is read."""
+        last, of the entries times scale. A block's last row goes on into the
+        next block, so a block must not be written before the next one is
+        read."""
         dist, freqs = self.dist, self.freqs
         n = np.arange(freqs.size)
         spacing = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
         off_line = np.abs(freqs - (freqs[0] + n * spacing))
         if np.any(off_line > SPACING_TOL * np.finfo(float).eps * freqs[-1]):
             raise ValueError("the subband centers must be evenly spaced")
-        inv_dist = 1.0 / dist
+        inv_dist = scale / dist
         step = _phasors(np.array([spacing]), dist)[0]
         prev = None  # the row before the block
         for start in range(0, freqs.size, rows):
@@ -135,53 +140,37 @@ def _phasors(freqs: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 class MimoSpectrum(NamedTuple):
     """An N x K x M channel H as the normalization and the rate read it: the
-    largest |entry| of H; per subband H_n, its largest real or imaginary
-    part p_n; the ascending eigenvalues of the Gram matrix of H_n / p_n
-    on its short side, shape (N, min(K, M)); and the source H was read
-    from, an explicit array or a built line of sight."""
+    largest |entry| of H, peak; the ascending eigenvalues of the Gram matrix
+    of each subband H_n / peak on its short side, shape (N, min(K, M)); and
+    the source H is read from, with its shape and its blocks."""
 
     peak: float
-    subband_peaks: np.ndarray
     eigenvalues: np.ndarray
-    source: np.ndarray | _LineOfSight
+    source: _LineOfSight
 
     @property
     def entries(self) -> np.ndarray:
-        """H: the explicit array, or the line of sight rebuilt as one block
-        on every access (only the SVD fallback of mimo_sum_rate and tests
-        read it)."""
+        """H, rebuilt from the source as one block on every access (only the
+        SVD fallback of mimo_sum_rate and tests read it)."""
         source = self.source
-        if isinstance(source, np.ndarray):
-            return source
         return next(source.blocks(source.shape[0]))
 
 
-def mimo_spectrum(entries: np.ndarray | _LineOfSight) -> MimoSpectrum:
-    """The spectrum of entries, an N x K x M array or a built line of sight,
-    read in order by blocks of about GRAM_BLOCK_ENTRIES entries of whole
-    subbands. Each subband is scaled to a largest real or imaginary part of
-    1 before its Gram is formed, so the Gram cannot underflow or overflow."""
-    n, K, M = entries.shape
+def mimo_spectrum(source: _LineOfSight) -> MimoSpectrum:
+    """The spectrum of a built line of sight, read in order by blocks of
+    about GRAM_BLOCK_ENTRIES entries of whole subbands. The blocks are the
+    entries times d_min, the nearest element-to-user distance: their largest
+    magnitude is 1, so peak = 1 / d_min and no Gram formed from them can
+    overflow."""
+    n, K, M = source.shape
     step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
-    if isinstance(entries, np.ndarray):
-        blocks = (entries[start : start + step] for start in range(0, n, step))
-    else:
-        blocks = entries.blocks(step)
-    peak = 0.0
-    subband_peaks = np.empty(n)
+    d_min = source.dist.min()
     eigs = np.empty((n, min(K, M)))
-    for start, block in zip(range(0, n, step), blocks):
-        subbands = slice(start, start + step)
-        block = np.ascontiguousarray(block)
-        peak = np.maximum(peak, np.abs(block).max())  # not max(): a nan must propagate
-        scale = np.abs(block.view(float)).max(axis=(1, 2))
-        inv_scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-        wide = block * inv_scale[:, None, None]
+    for start, block in zip(range(0, n, step), source.blocks(step, d_min)):
         if K > M:
-            wide = wide.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
-        subband_peaks[subbands] = scale
-        eigs[subbands] = np.linalg.eigvalsh(wide @ wide.conj().swapaxes(-1, -2))
-    return MimoSpectrum(float(peak), subband_peaks, eigs, entries)
+            block = block.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
+        eigs[start : start + step] = np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2))
+    return MimoSpectrum(float(1.0 / d_min), eigs, source)
 
 
 def build_mimo_channel(
@@ -234,8 +223,8 @@ def mimo_sum_rate(
     budget is finite and > 0.
 
     The squared singular values are taken from the spectrum: the
-    eigenvalues of the r x r Gram matrix of H_n / p_n on its short side
-    (r = min(K, M)), times (factor * p_n)^2. Those below
+    eigenvalues of the r x r Gram matrix of H_n / peak on its short side
+    (r = min(K, M)), times (factor * peak)^2. Those below
     tau * lambda_max(n), tau = r * eps / GRAM_RTOL, are not resolved and
     enter the waterfill as 0. If the water level shows that one of them
     could still have been active, the pool is recomputed from the SVD of
@@ -245,7 +234,7 @@ def mimo_sum_rate(
     tau = spectrum.eigenvalues.shape[1] * np.finfo(float).eps / GRAM_RTOL
     sigma2 = noise.variance_sigma2
 
-    pooled = spectrum.eigenvalues * np.square(factor * spectrum.subband_peaks)[:, None]
+    pooled = spectrum.eigenvalues * np.square(factor * spectrum.peak)
     lam_max = pooled[:, -1:]
     unresolved = pooled < tau * lam_max
     pooled[unresolved] = 0.0

@@ -122,7 +122,7 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
     powers = np.zeros_like(gains)
     powers[positive] = np.maximum(budget_P - (K * floors - cumulative[K - 1]), 0.0) / K
     if powers.sum() > budget_P * (1.0 + BUDGET_RTOL):
-        # floors far above the budget and within rounding of each other
+        # the running sum of thousands of active floors, rounding one way
         raise FloatingPointError("waterfilling lost the budget to the rounding of the floors")
     return PowerAllocation(powers, budget_P)
 
@@ -143,9 +143,11 @@ def grid_search_geometry(
     if gains.shape[:2] != (grids.b_grid.size, grids.L_grid.size):
         raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
     # ranking key: the rate times N ln 2, with log1p keeping per-subband
-    # SNRs below eps apart
+    # SNRs below eps apart, summed over the powered subbands only (an
+    # unpowered one adds log1p(0) = +0)
     powers = fixed_powers.powers
-    key = np.log1p(powers / noise.variance_sigma2 * gains).sum(axis=-1)
+    on = np.flatnonzero(powers)
+    key = np.log1p(powers[on] / noise.variance_sigma2 * gains[..., on]).sum(axis=-1)
     best = int(np.argmax(key))
     # The key's sum rounds otherwise than rate_bits' fsum, so the geometries
     # within NEAR_TIE_RTOL of the best key are ranked again by rate_bits.

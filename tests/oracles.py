@@ -11,19 +11,22 @@ exact rational arithmetic, a brute-force replay of the alternating
 optimizer's stated updates that never calls the optimizer's own grid
 search or loop, the beampattern map summed over every subband, the
 straightforward per-entry beampattern CSV writer, the
-MIMO rate from a full SVD of every subband matrix, the MIMO tensor from
-one broadcast expression, and the diffraction gain grid evaluated in
-complex arithmetic throughout.
+MIMO rate from a full SVD of every subband matrix, the MIMO spectrum of an
+explicit array with each subband scaled by its own largest part, the MIMO
+tensor from one broadcast expression, and the diffraction gain grid
+evaluated in complex arithmetic throughout.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
 from lwacomm.channel import average_sum_rate, build_channel
+from lwacomm.mimo import MimoSpectrum
 from lwacomm.optimizer import waterfill
 from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig, diffraction_gain_grid
 
@@ -197,6 +200,42 @@ def svd_mimo_rate(entries, budget_P, noise) -> float:
     if not math.isfinite(rate):
         raise FloatingPointError(f"the MIMO rate is not finite: {rate}")
     return rate
+
+
+class ExplicitEntries(NamedTuple):
+    """An explicit N x K x M array as the source of a MimoSpectrum."""
+
+    array: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.array.shape
+
+    def blocks(self, rows):
+        """The array itself, as one block: only MimoSpectrum.entries reads
+        the source, and it asks for every row at once."""
+        yield self.array
+
+
+def reference_mimo_spectrum(entries) -> MimoSpectrum:
+    """The spectrum of an explicit N x K x M array, with no knowledge of how
+    it was made: peak is the largest |entry|, found by a pass over the
+    entries. Each subband H_n is scaled to a largest real or imaginary part
+    p_n of 1 before its Gram is formed on the short side, so the Gram cannot
+    underflow or overflow whatever the subbands' magnitudes, and its
+    eigenvalues are then taken to those of H_n / peak by (p_n / peak)^2."""
+    entries = np.asarray(entries)
+    _, K, M = entries.shape
+    peak = float(np.max(np.abs(entries)))  # np.max: a nan propagates
+    scale = np.maximum(np.abs(entries.real), np.abs(entries.imag)).max(axis=(1, 2))
+    inv_scale = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+    wide = entries * inv_scale[:, None, None]
+    if K > M:
+        wide = wide.swapaxes(-1, -2)
+    eigs = np.linalg.eigvalsh(wide @ wide.conj().swapaxes(-1, -2))
+    if peak > 0:
+        eigs *= np.square(scale / peak)[:, None]
+    return MimoSpectrum(peak, eigs, ExplicitEntries(entries))
 
 
 def reference_mimo_entries(geometry, grid, users) -> np.ndarray:

@@ -329,6 +329,8 @@ class TestBeampattern:
         powers = [1.0, bad_power, 0.0, 1.0]
         with pytest.raises(ValueError, match="powers must be finite and >= 0"):
             beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, self.RANGES)
+        with pytest.raises(ValueError, match="power vector length must match"):
+            beampattern(self.CFG, self.GRID, powers[:3], LOSS, self.ANGLES, self.RANGES)
 
     @pytest.mark.parametrize("bad_angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, bad_angle):
@@ -545,6 +547,9 @@ class TestValidation:
             FrequencyGrid(np.array([2e11, 1e11]))
         with pytest.raises(ValueError):
             FrequencyGrid(np.array([-1e9, 1e11]))
+        for f_low, f_high in [(0.0, 8e11), (8e11, 2e11), (5e11, 5e11), (math.nan, 8e11)]:
+            with pytest.raises(ValueError, match="need 0 < f_low < f_high"):
+                FrequencyGrid.subband_centers(f_low, f_high, 4)
 
     def test_user_set_invariants(self):
         with pytest.raises(ValueError):

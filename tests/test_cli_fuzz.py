@@ -1,12 +1,14 @@
 """Fuzz the CLI over a bounded scenario domain: every run exits 0, 2 or 3,
-and a run that exits 0 writes only finite numbers."""
+and a run that exits 0 writes and prints only finite numbers."""
 
+import contextlib
+import io
 import math
 import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lwacomm.cli import main
 
@@ -59,31 +61,53 @@ def scenarios(draw):
     return scenario
 
 
+# a small scenario every command runs to exit 0: the examples that print each
+# command's summary whatever the drawn examples reach
+SMALL = {
+    "num_subbands": 4, "num_users": 2, "b_grid_points": 2, "slit_grid_points": 2,
+    "mimo_elements": 4, "trials": 1,
+}
+
+
 COMMANDS = st.sampled_from(["optimize", "beampattern", "sweep-snr", "compare-mimo"])
 SNR_DB = st.one_of(st.floats(min_value=-40.0, max_value=40.0), st.floats())
 
 
+def numbers_in(text):
+    for token in re.split(r"[\s,:=()]+", text):
+        try:
+            yield token, float(token)
+        except ValueError:
+            pass
+
+
 def written_numbers(out: Path):
     for path in out.iterdir():
-        for token in re.split(r"[\s,:]+", path.read_text()):
-            try:
-                yield path.name, token, float(token)
-            except ValueError:
-                pass
+        for token, value in numbers_in(path.read_text()):
+            yield path.name, token, value
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
-@given(scenario=scenarios(), command=COMMANDS, snr_db=SNR_DB)
-def test_exit_codes_and_finite_outputs(scenario, command, snr_db):
+@given(scenario=scenarios(), command=COMMANDS, snr_db=SNR_DB, quiet=st.booleans())
+@example(scenario=SMALL, command="optimize", snr_db=10.0, quiet=False)
+@example(scenario=SMALL, command="beampattern", snr_db=10.0, quiet=False)
+@example(scenario=SMALL, command="sweep-snr", snr_db=10.0, quiet=False)
+@example(scenario=SMALL, command="compare-mimo", snr_db=10.0, quiet=False)
+def test_exit_codes_and_finite_outputs(scenario, command, snr_db, quiet):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "scenario.cfg"
         cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in scenario.items()))
         out = Path(tmp) / "out"
-        argv = [command, "--config", str(cfg), "--out", str(out), "--quiet"]
+        argv = [command, "--config", str(cfg), "--out", str(out)] + ["--quiet"] * quiet
         if command == "sweep-snr":
             argv += [f"--snr-db={snr_db!r}"]
-        code = main(argv)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv)
         assert code in (0, 2, 3)
         if code == 0:
+            assert (stdout.getvalue() == "") == quiet, stdout.getvalue()
+            for token, value in numbers_in(stdout.getvalue()):
+                assert math.isfinite(value), ("stdout", token)
             for name, token, value in written_numbers(out):
                 assert math.isfinite(value), (name, token)

@@ -126,6 +126,12 @@ class TestConfig:
             {"noise_variance": np.float32("nan")},
             {"f_low_hz": 1e11, "f_high_hz": 100000000000.00002},  # no 40 distinct centers
             {"angle_min_deg": 5e-324, "angle_max_deg": 5e-324},  # 0 rad
+            {"b_grid_points": 0},
+            {"slit_grid_points": 0},
+            {"max_iterations": 0},
+            {"mimo_elements": 0},
+            {"seed": -1},
+            {"seed": 2 ** 64},
         ],
     )
     def test_invariants(self, kwargs):

@@ -19,14 +19,18 @@ from lwacomm.mimo import (
     UlaGeometry,
     ZeroChannel,
     build_mimo_channel,
-    mimo_spectrum,
     mimo_sum_rate,
     normalize_to_lwa,
 )
 from lwacomm.optimizer import AllGainsZero, SearchGrids, alternate_optimize
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
-from oracles import reference_mimo_entries, simplex_grid_best_rate, svd_mimo_rate
+from oracles import (
+    reference_mimo_entries,
+    reference_mimo_spectrum,
+    simplex_grid_best_rate,
+    svd_mimo_rate,
+)
 
 NOISE = NoiseModel(1.0)
 GRID = FrequencyGrid.subband_centers(200e9, 800e9, 4)
@@ -34,6 +38,14 @@ USERS = UserSet(np.array([0.4, 0.9]), np.array([12.0, 17.0]))
 ULA8 = UlaGeometry(8, 500e9)
 CONFIGS = [ScenarioConfig(), ScenarioConfig(num_subbands=256, num_users=32, mimo_elements=256)]
 CONFIG_IDS = ["default", "wide-band"]
+EPS = np.finfo(float).eps
+# How far, relative, a spectrum's peak 1 / d_min may lie from the largest
+# |entry| as built: an anchor's magnitude errs by about 2 eps (the exp, the
+# product with 1/d, abs), and each of the up to ANCHOR_STRIDE - 1 products
+# with the step phasor by at most sqrt(5) eps / 2 plus the step's own
+# magnitude error, about eps: 2 + 15 * 2.2, so about 35 eps. Draws of both
+# CONFIGS reach 6 eps.
+PEAK_RTOL = 40 * EPS
 
 
 def phase_bound(grid, dist):
@@ -139,7 +151,8 @@ class TestLineOfSightSource:
             for rows in (1, 3, mimo.ANCHOR_STRIDE, mimo.ANCHOR_STRIDE + 1, n):
                 monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", rows * K * M)
                 built = build_mimo_channel(config.ula(), config.frequency_grid(), users)
-                assert_same_spectrum(mimo_spectrum(built.entries), built)
+                assert_spectrum_of_rows(built)
+                assert_as_reference(built, reference_mimo_spectrum(built.entries))
 
     def test_spectrum_takes_one_exp_per_anchor(self, monkeypatch):
         # 3-subband blocks, so most blocks start between anchors
@@ -155,7 +168,7 @@ class TestLineOfSightSource:
         built = build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), sample_users(SMALL, 2))
         # the anchors, and the step row
         assert sum(exp_rows) == math.ceil(SMALL.num_subbands / mimo.ANCHOR_STRIDE) + 1
-        assert_same_spectrum(mimo_spectrum(built.entries), built)
+        assert_spectrum_of_rows(built)
 
     def test_consecutive_blocks_of_every_size_give_the_same_rows(self):
         source = small_source(3)
@@ -217,10 +230,36 @@ def assert_blocks(source, whole, size):
     assert np.array_equal(np.concatenate(blocks), whole), size
 
 
-def assert_same_spectrum(read, built):
-    assert read.peak == built.peak
-    assert np.array_equal(read.subband_peaks, built.subband_peaks)
-    assert np.array_equal(read.eigenvalues, built.eigenvalues)
+def gram_eigenvalues(rows):
+    """The eigenvalues of each subband's Gram on its short side."""
+    _, K, M = rows.shape
+    wide = rows.swapaxes(-1, -2) if K > M else rows
+    return np.linalg.eigvalsh(wide @ wide.conj().swapaxes(-1, -2))
+
+
+def assert_spectrum_of_rows(built):
+    """built's peak is 1 / d_min and its eigenvalues are those of its rows
+    times d_min made as one block, bitwise, whatever block size it was read
+    in."""
+    source = built.source
+    d_min = source.dist.min()
+    assert built.peak == 1.0 / d_min
+    rows = next(source.blocks(source.shape[0], d_min))
+    assert np.array_equal(built.eigenvalues, gram_eigenvalues(rows))
+
+
+def assert_as_reference(built, reference, snr_dbs=(-10.0, 20.0, 50.0)):
+    """built's peak and factor lie within PEAK_RTOL of the reference
+    spectrum's, and its rates within TestGramRate's 1e-12."""
+    assert math.isclose(built.peak, reference.peak, rel_tol=PEAK_RTOL)
+    target = lwa_peak()
+    factor = normalize_to_lwa(built, target)
+    assert math.isclose(factor, normalize_to_lwa(reference, target), rel_tol=PEAK_RTOL)
+    for snr_db in snr_dbs:
+        budget = snr_budget(built, snr_db)
+        got = mimo_sum_rate(built, factor, budget, NOISE)
+        want = mimo_sum_rate(reference, factor, budget, NOISE)
+        assert math.isclose(got, want, rel_tol=1e-12), (snr_db, got, want)
 
 
 def lwa_peak(grid=GRID, users=USERS, b=1e-3, L=20e-3):
@@ -268,14 +307,14 @@ class TestNormalization:
     def test_equal_max_is_identity(self):
         lwa_max = lwa_peak()
         entries = np.full((2, 1, 1), lwa_max, dtype=complex)
-        factor = normalize_to_lwa(mimo_spectrum(entries), lwa_max)
+        factor = normalize_to_lwa(reference_mimo_spectrum(entries), lwa_max)
         assert factor == pytest.approx(1.0)
         np.testing.assert_allclose(factor * entries, entries)
 
     def test_double_max_halves_entries(self):
         lwa_max = lwa_peak()
         entries = np.full((2, 1, 1), 2 * lwa_max, dtype=complex)
-        spectrum = mimo_spectrum(entries)
+        spectrum = reference_mimo_spectrum(entries)
         factor = normalize_to_lwa(spectrum, lwa_max)
         assert spectrum.entries is entries
         np.testing.assert_allclose(np.abs(factor * spectrum.entries), lwa_max, rtol=1e-12)
@@ -284,27 +323,25 @@ class TestNormalization:
         rng = np.random.default_rng(9)
         lwa_max = lwa_peak()
         entries = rng.normal(size=(4, 2, 8)) + 1j * rng.normal(size=(4, 2, 8))
-        factor = normalize_to_lwa(mimo_spectrum(entries), lwa_max)
+        factor = normalize_to_lwa(reference_mimo_spectrum(entries), lwa_max)
         assert np.max(np.abs(factor * entries)) == pytest.approx(lwa_max, rel=1e-12)
 
     def test_idempotent(self):
         lwa_max = lwa_peak()
         spectrum = build_mimo_channel(ULA8, GRID, USERS)
         once = normalize_to_lwa(spectrum, lwa_max) * spectrum.entries
-        twice = normalize_to_lwa(mimo_spectrum(once), lwa_max) * once
+        twice = normalize_to_lwa(reference_mimo_spectrum(once), lwa_max) * once
         np.testing.assert_allclose(twice, once, rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "block_entries, shape",
-        [(None, (40, 32, 256)), (3 * 2 * 8, (10, 2, 8))],
+        "block_entries, config",
+        [(None, ScenarioConfig(num_subbands=40, num_users=32, mimo_elements=256)),
+         (3 * 2 * 8, ScenarioConfig(num_subbands=10, num_users=2, mimo_elements=8))],
         ids=["default-blocks", "3-subband-blocks"],
     )
-    def test_blockwise_peak_matches_full_max(self, block_entries, shape, monkeypatch):
+    def test_blockwise_peak_matches_full_max(self, block_entries, config, monkeypatch):
         if block_entries is not None:
             monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", block_entries)
-        rng = np.random.default_rng(11)
-        entries = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        entries[-1, 1, 5] = 7.0 - 6.0j  # the largest tap, in the last block
         reads = []  # the eigenvalues of each block's Grams, in the order read
         eigvalsh = np.linalg.eigvalsh
 
@@ -314,25 +351,36 @@ class TestNormalization:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         lwa_max = lwa_peak()
-        spectrum = mimo_spectrum(entries)
+        spectrum = build_mimo_channel(config.ula(), config.frequency_grid(), sample_users(config, 4))
         factor = normalize_to_lwa(spectrum, lwa_max)
         assert len(reads) >= 4
         assert np.array_equal(np.concatenate(reads), spectrum.eigenvalues)
-        assert spectrum.peak == float(np.max(np.abs(entries)))
-        assert factor == lwa_max / float(np.max(np.abs(entries)))
+        assert spectrum.peak == 1.0 / spectrum.source.dist.min()
+        largest = float(np.max(np.abs(spectrum.entries)))
+        assert math.isclose(spectrum.peak, largest, rel_tol=PEAK_RTOL)
+        assert factor == lwa_max / spectrum.peak
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_peak_is_the_largest_entry(self, config):
+        # every entry has magnitude 1/d_km, so none exceeds 1/d_min
+        grid = config.frequency_grid()
+        for trial in range(3):
+            spectrum = build_mimo_channel(config.ula(), grid, sample_users(config, trial))
+            largest = float(np.max(np.abs(spectrum.entries)))
+            assert math.isclose(spectrum.peak, largest, rel_tol=PEAK_RTOL), trial
 
     def test_zero_channel_raises(self):
         with pytest.raises(ZeroChannel):
-            normalize_to_lwa(mimo_spectrum(np.zeros((1, 1, 1), complex)), lwa_peak())
+            normalize_to_lwa(reference_mimo_spectrum(np.zeros((1, 1, 1), complex)), lwa_peak())
 
     def test_zero_lwa_peak_raises(self):
         with pytest.raises(ZeroChannel):
-            normalize_to_lwa(mimo_spectrum(np.ones((1, 1, 1), complex)), 0.0)
+            normalize_to_lwa(reference_mimo_spectrum(np.ones((1, 1, 1), complex)), 0.0)
 
 
 class TestSumRate:
     def test_scalar_channel_one_bit(self):
-        spectrum = mimo_spectrum(np.ones((1, 1, 1), dtype=complex))
+        spectrum = reference_mimo_spectrum(np.ones((1, 1, 1), dtype=complex))
         assert mimo_sum_rate(spectrum, 1.0, 1.0, NOISE) == pytest.approx(1.0)
 
     def test_equal_rank_one_subbands_split_uniformly(self):
@@ -342,14 +390,14 @@ class TestSumRate:
         h = np.zeros((n, 2, 2), dtype=complex)
         for i in range(n):
             h[i] = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1, s1^2 = 4
-        rate = mimo_sum_rate(mimo_spectrum(h), 1.0, p, NOISE)
+        rate = mimo_sum_rate(reference_mimo_spectrum(h), 1.0, p, NOISE)
         assert rate == pytest.approx(math.log2(1.0 + (p / n) * 4.0), rel=1e-9)
 
     def test_matches_simplex_enumeration(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
             entries = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
-            spectrum = mimo_spectrum(entries)
+            spectrum = reference_mimo_spectrum(entries)
             budget = 1.0
             got = mimo_sum_rate(spectrum, 1.0, budget, NOISE)
             pooled = (np.linalg.svd(entries, compute_uv=False) ** 2).ravel()
@@ -357,21 +405,21 @@ class TestSumRate:
             assert got == pytest.approx(best, abs=1e-4)
 
     def test_budget_validation(self):
-        spectrum = mimo_spectrum(np.ones((1, 1, 1), dtype=complex))
+        spectrum = reference_mimo_spectrum(np.ones((1, 1, 1), dtype=complex))
         for budget in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="budget_P must be finite and > 0"):
                 mimo_sum_rate(spectrum, 1.0, budget, NOISE)
 
     def test_nan_factor_rejected(self):
         # a NaN factor used to be reported as all subband gains being zero
-        spectrum = mimo_spectrum(np.ones((2, 1, 1), dtype=complex))
+        spectrum = reference_mimo_spectrum(np.ones((2, 1, 1), dtype=complex))
         with pytest.raises(ValueError, match="not NaN") as info:
             mimo_sum_rate(spectrum, math.nan, 1.0, NOISE)
         assert not isinstance(info.value, AllGainsZero)
 
     def test_non_finite_rate_raises(self):
         # s^2 = 1e400 overflows to inf, so the rate would be inf
-        spectrum = mimo_spectrum(np.full((1, 1, 1), 1e200, dtype=complex))
+        spectrum = reference_mimo_spectrum(np.full((1, 1, 1), 1e200, dtype=complex))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
             mimo_sum_rate(spectrum, 1.0, 1.0, NOISE)
 
@@ -385,7 +433,7 @@ class TestSumRate:
         for _ in range(20):
             h = rng.normal(size=16) + 1j * rng.normal(size=16)
             budget = rng.uniform(0.5, 20.0)
-            mimo_rate = mimo_sum_rate(mimo_spectrum(h[:, None, None]), 1.0, budget, noise)
+            mimo_rate = mimo_sum_rate(reference_mimo_spectrum(h[:, None, None]), 1.0, budget, noise)
             lwa = alternate_optimize(grids, (np.abs(h) ** 2)[None, None, :], budget, noise)
             assert math.isclose(mimo_rate, lwa.sum_rate, rel_tol=1e-14)
 
@@ -437,13 +485,15 @@ class TestSpectrumMemory:
         target = lwa_peak(grid, users, L=14e-3)
         built = build_mimo_channel(config.ula(), grid, users)
         entries = built.entries
-        explicit = mimo_spectrum(entries)
+        explicit = reference_mimo_spectrum(entries)
         assert explicit.entries is entries
         factor = normalize_to_lwa(explicit, target)
-        assert factor == normalize_to_lwa(built, target)
+        assert math.isclose(normalize_to_lwa(built, target), factor, rel_tol=PEAK_RTOL)
         budget = snr_budget(built, snr_db)
-        assert mimo_sum_rate(explicit, factor, budget, NOISE) == mimo_sum_rate(
-            built, factor, budget, NOISE
+        assert math.isclose(
+            mimo_sum_rate(explicit, factor, budget, NOISE),
+            mimo_sum_rate(built, factor, budget, NOISE),
+            rel_tol=1e-12,
         )
         assert len(svd_calls) == svd_runs
 
@@ -459,7 +509,7 @@ def normalized_spectrum(num_users, num_elements, seed=0):
 
 
 def snr_budget(spectrum, snr_db):
-    return 10.0 ** (snr_db / 10.0) * spectrum.subband_peaks.size * NOISE.variance_sigma2
+    return 10.0 ** (snr_db / 10.0) * spectrum.eigenvalues.shape[0] * NOISE.variance_sigma2
 
 
 def oracle_rate(spectrum, factor, budget):
@@ -510,13 +560,11 @@ class TestGramRate:
         assert math.isclose(got, want, rel_tol=1e-9)
 
     @pytest.mark.parametrize("shape", [(2, 8), (12, 4)], ids=str)
-    def test_all_zero_subband_block(self, shape, monkeypatch):
+    def test_all_zero_subband_block(self, shape):
         spectrum, factor = normalized_spectrum(*shape)
-        K, M = shape
-        monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", 2 * K * M)  # 2 subbands a block
         entries = spectrum.entries.copy()
         entries[2:4] = 0.0
-        spectrum = mimo_spectrum(entries)
+        spectrum = reference_mimo_spectrum(entries)
         for snr_db in (-10.0, 30.0):
             budget = snr_budget(spectrum, snr_db)
             with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -529,7 +577,37 @@ class TestGramRate:
         spectrum, factor = normalized_spectrum(8, 8)
         budget = snr_budget(spectrum, 20.0)
         want = mimo_sum_rate(spectrum, factor, budget, NOISE)
-        moved = mimo_spectrum(spectrum.entries * magnitude)
+        moved = reference_mimo_spectrum(spectrum.entries * magnitude)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             got = mimo_sum_rate(moved, factor / magnitude, budget, NOISE)
         assert math.isclose(got, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
+    def test_matches_svd_oracle_over_user_ranges(self, config):
+        # from just above half the aperture to 1e150 m, and both at once:
+        # unscaled, the Grams of the 1e150 m entries would fall to 1e-300
+        # and their small eigenvalues to subnormals
+        ula = config.ula()
+        near = ula.aperture_m / 2 * (1 + 1e-9)
+        rng = np.random.default_rng(26)
+        K = config.num_users
+        angles = rng.uniform(math.radians(5), math.radians(85), K)
+        ranges = {
+            "near": np.full(K, near) * (1 + rng.uniform(0, 1e-3, K)),
+            "spread": np.geomspace(near, 1e150, K),
+            "far": 1e150 * (1 - rng.uniform(0, 1e-3, K)),
+        }
+        grid = config.frequency_grid()
+        target = lwa_peak()
+        for name, rho in ranges.items():
+            spectrum = build_mimo_channel(ula, grid, UserSet(angles, rho))
+            factor = normalize_to_lwa(spectrum, target)
+            for snr_db in (-10.0, 20.0, 50.0):
+                budget = snr_budget(spectrum, snr_db)
+                got = mimo_sum_rate(spectrum, factor, budget, NOISE)
+                # the far users' squared singular values, down to 1e-300, give
+                # floors that overflow to inf (and inf - inf in the active-set
+                # count): modes the budget never reaches
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = oracle_rate(spectrum, factor, budget)
+                assert math.isclose(got, want, rel_tol=1e-12), (name, snr_db, got, want)

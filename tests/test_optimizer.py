@@ -28,6 +28,28 @@ from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 from oracles import channel_gains_squared, exact_waterfill, simplex_grid_best_rate
 
 NOISE = NoiseModel(1.0)
+
+
+def gains_whose_floors_round_up(n):
+    """n gains for NOISE: one of 1e300, whose floor 1/g is the smallest, and
+    n - 1 with floors just above 0.5, ascending by 0.4 / n^2 so that a budget
+    of 1 makes all n active. Each floor is nudged until adding it to the
+    running sum of the floors before it rounds up by over 0.3 ulp."""
+    gains = [1e300]
+    total = 0.0
+    for j in range(1, n):
+        target = 0.5 + j * 0.4 / n**2
+        for _ in range(64):
+            floor = NOISE.variance_sigma2 / (1.0 / target)  # as waterfill forms it
+            new = total + floor
+            part = new - total
+            error = (total - (new - part)) + (floor - part)  # exact sum - new
+            if total == 0.0 or error < -0.3 * math.ulp(new):
+                break
+            target += math.ulp(new) / 7
+        gains.append(1.0 / target)
+        total = new
+    return np.array(gains)
 LOSS = InverseRangeLoss()
 
 
@@ -86,6 +108,17 @@ class TestWaterfill:
         assert math.isclose(alloc.powers.sum(), 10.0, rel_tol=BUDGET_RTOL)
         expected = exact_waterfill(gains, 10.0, NOISE.variance_sigma2)
         np.testing.assert_allclose(alloc.powers, expected, rtol=1e-12)
+
+    def test_running_sum_of_many_floors_rounding_up_raises(self):
+        # every floor active, and the running sum S_K of the sorted floors
+        # rounding up at each of its 10^4 additions: the powers sum to
+        # P - sum(f) + S_K, which passes the budget by more than BUDGET_RTOL
+        gains = gains_whose_floors_round_up(10_000)
+        floors = np.sort(NOISE.variance_sigma2 / gains)
+        floors -= floors[0]
+        assert np.cumsum(floors)[-1] - math.fsum(floors) > BUDGET_RTOL * 1.0
+        with pytest.raises(FloatingPointError, match="rounding of the floors"):
+            waterfill(gains, 1.0, NOISE)
 
     def test_budget_tight_random(self):
         rng = np.random.default_rng(5)

@@ -11,7 +11,7 @@ import pytest
 import lwacomm
 from lwacomm.channel import FrequencyGrid, InverseRangeLoss, NoiseModel, UserSet
 from lwacomm.experiments import ScenarioConfig, SweepPoint, SweepResult
-from lwacomm.mimo import MimoSpectrum, UlaGeometry
+from lwacomm.mimo import MimoSpectrum, UlaGeometry, _LineOfSight
 from lwacomm.optimizer import AllocationResult, PowerAllocation, SearchGrids, TraceRecord
 from lwacomm.physics import LwaConfig
 
@@ -45,9 +45,8 @@ VALUE_TYPES = [
         MimoSpectrum,
         {
             "peak": 2.0,
-            "subband_peaks": np.array([1.0, 2.0]),
             "eigenvalues": np.ones((2, 1)),
-            "source": np.full((2, 1, 1), 2.0 + 0j),
+            "source": _LineOfSight(np.full((1, 1), 0.5), np.array([3e11, 5e11])),
         },
     ),
     (
