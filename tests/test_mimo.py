@@ -248,14 +248,14 @@ def assert_spectrum_of_rows(built):
     assert np.array_equal(built.eigenvalues, gram_eigenvalues(rows))
 
 
-def assert_as_reference(built, reference, snr_dbs=(-10.0, 20.0, 50.0)):
+def assert_as_reference(built, reference):
     """built's peak and factor lie within PEAK_RTOL of the reference
     spectrum's, and its rates within TestGramRate's 1e-12."""
     assert math.isclose(built.peak, reference.peak, rel_tol=PEAK_RTOL)
     target = lwa_peak()
     factor = normalize_to_lwa(built, target)
     assert math.isclose(factor, normalize_to_lwa(reference, target), rel_tol=PEAK_RTOL)
-    for snr_db in snr_dbs:
+    for snr_db in (-10.0, 20.0, 50.0):
         budget = snr_budget(built, snr_db)
         got = mimo_sum_rate(built, factor, budget, NOISE)
         want = mimo_sum_rate(reference, factor, budget, NOISE)

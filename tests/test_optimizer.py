@@ -28,6 +28,7 @@ from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 from oracles import channel_gains_squared, exact_waterfill, simplex_grid_best_rate
 
 NOISE = NoiseModel(1.0)
+LOSS = InverseRangeLoss()
 
 
 def gains_whose_floors_round_up(n):
@@ -50,7 +51,6 @@ def gains_whose_floors_round_up(n):
         gains.append(1.0 / target)
         total = new
     return np.array(gains)
-LOSS = InverseRangeLoss()
 
 
 class TestWaterfill:
@@ -112,11 +112,12 @@ class TestWaterfill:
     def test_running_sum_of_many_floors_rounding_up_raises(self):
         # every floor active, and the running sum S_K of the sorted floors
         # rounding up at each of its 10^4 additions: the powers sum to
-        # P - sum(f) + S_K, which passes the budget by more than BUDGET_RTOL
+        # P - sum(f) + S_K, which passes the budget P = 1 by more than
+        # BUDGET_RTOL
         gains = gains_whose_floors_round_up(10_000)
         floors = np.sort(NOISE.variance_sigma2 / gains)
         floors -= floors[0]
-        assert np.cumsum(floors)[-1] - math.fsum(floors) > BUDGET_RTOL * 1.0
+        assert np.cumsum(floors)[-1] - math.fsum(floors) > BUDGET_RTOL
         with pytest.raises(FloatingPointError, match="rounding of the floors"):
             waterfill(gains, 1.0, NOISE)
 
