@@ -23,11 +23,9 @@ from .optimizer import (
 )
 from .mimo import (
     UlaGeometry,
-    ZeroChannel,
     build_mimo_channel,
     mimo_spectrum,
     mimo_sum_rate,
-    normalize_to_lwa,
 )
 from .experiments import (
     ConfigError,

@@ -72,17 +72,12 @@ class UserSet:
 
 
 class InverseRangeLoss:
-    """Frequency-independent attenuation coefficient Gamma = rho_ref / rho."""
+    """Frequency-independent attenuation coefficient Gamma = 1 m / rho."""
 
-    __slots__ = ("reference_range_m",)
-
-    def __init__(self, reference_range_m: float = 1.0):
-        if not (math.isfinite(reference_range_m) and reference_range_m > 0):
-            raise ValueError("reference_range_m must be finite and > 0")
-        self.reference_range_m = reference_range_m
+    __slots__ = ()
 
     def evaluate(self, range_m):
-        return self.reference_range_m / np.asarray(range_m, dtype=float)
+        return 1.0 / np.asarray(range_m, dtype=float)
 
 
 class NoiseModel:

@@ -30,7 +30,6 @@ from .experiments import (
     write_csv,
     write_report,
 )
-from .mimo import ZeroChannel
 from .optimizer import AllGainsZero
 
 EXIT_OK = 0
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (AllGainsZero, ZeroChannel, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (AllGainsZero, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

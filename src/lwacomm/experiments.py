@@ -29,7 +29,7 @@ from .channel import (
     build_channel,
     geometry_gains_squared,
 )
-from .mimo import UlaGeometry, build_mimo_channel, mimo_sum_rate, normalize_to_lwa
+from .mimo import UlaGeometry, build_mimo_channel, mimo_sum_rate
 from .optimizer import (
     AllocationResult,
     SearchGrids,
@@ -219,8 +219,8 @@ def paired_rates(config: ScenarioConfig, trial: int, budget: float):
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
     spectrum = build_mimo_channel(ula, grid, users)
-    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa_channel))))
-    mimo_rate = mimo_sum_rate(spectrum, factor, budget, config.noise())
+    lwa_peak = float(np.max(np.abs(lwa_channel)))
+    mimo_rate = mimo_sum_rate(spectrum, lwa_peak, budget, config.noise())
     return result.sum_rate, mimo_rate, result
 
 

@@ -1,18 +1,19 @@
 """Fully digital wideband MIMO baseline.
 
 Uniform linear array with an exact-distance (spherical wavefront) LoS
-channel, valid in both radiative near and far field. The channel is
-normalized so its largest tap magnitude matches the LWA channel, and the
-sum-rate uses waterfilling pooled over per-subband eigenmodes and
-frequency bins.
+channel, valid in both radiative near and far field. The channel is held
+with a largest tap magnitude of 1 and scaled to the LWA channel's largest
+tap by one scalar, the LWA peak, when the sum-rate is taken: waterfilling
+pooled over per-subband eigenmodes and frequency bins.
 
-Both read only the channel's MimoSpectrum and one scalar factor. The
-spectrum is taken in one pass over blocks of subbands without keeping the
-N x K x M entries, so the baseline's memory is of the order of one block.
-Every entry has magnitude 1/d_km at every frequency, so the largest is
-1/d_min, known before any entry is made; the pass makes the entries times
-d_min, which are at most 1 in magnitude, and forms each Gram from them as
-made, with no pass over the entries for their magnitudes.
+The rate reads only the channel's MimoSpectrum and that peak. The spectrum
+is taken in one pass over blocks of subbands without keeping the N x K x M
+entries, so the baseline's memory is of the order of one block. Every
+entry exp(-2j pi f d_km / c) / d_km has magnitude 1/d_km at every
+frequency, so the largest is 1/d_min, known before any entry is made; the
+entries are made times d_min, with a largest magnitude of 1, and each Gram
+is formed from them as made, with no pass over the entries for their
+magnitudes.
 The entries are made by a phasor recurrence over the evenly spaced subband
 centers, one complex multiply per entry, with the direct exp as an anchor
 every ANCHOR_STRIDE subbands. They are made in order from subband 0, each
@@ -50,10 +51,6 @@ ANCHOR_STRIDE = 16
 SPACING_TOL = 4.0
 
 
-class ZeroChannel(ValueError):
-    """A channel with no nonzero entry cannot be normalized."""
-
-
 class UlaGeometry:
     """M elements on a line, half-wavelength spaced at the reference
     frequency and centered at the origin."""
@@ -84,8 +81,9 @@ class UlaGeometry:
 
 
 class _LineOfSight(NamedTuple):
-    """A built channel's entries exp(-2j pi f_n d_km / c) / d_km, made in
-    order from subband 0 by blocks.
+    """A built channel's entries d_min exp(-2j pi f_n d_km / c) / d_km, d_min
+    the nearest element-to-user distance, made in order from subband 0 by
+    blocks: the LoS channel scaled to a largest magnitude of 1.
 
     The subband centers are evenly spaced, f_n = f_a + (n - a) * delta, so
     row n is row n - 1 times the step phasor exp(-2j pi delta d_km / c): one
@@ -100,25 +98,23 @@ class _LineOfSight(NamedTuple):
     def shape(self) -> tuple:
         return (self.freqs.size, *self.dist.shape)
 
-    def blocks(self, rows: int, scale: float = 1.0):
+    def blocks(self, rows: int):
         """Consecutive blocks of at most rows subbands, from subband 0 to the
-        last, of the entries times scale. A block's last row goes on into the
-        next block, so a block must not be written before the next one is
-        read."""
+        last. A block's last row goes on into the next block, so a block must
+        not be written before the next one is read."""
         dist, freqs = self.dist, self.freqs
         n = np.arange(freqs.size)
         spacing = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
         off_line = np.abs(freqs - (freqs[0] + n * spacing))
         if np.any(off_line > SPACING_TOL * np.finfo(float).eps * freqs[-1]):
             raise ValueError("the subband centers must be evenly spaced")
-        inv_dist = scale / dist
+        inv_dist = dist.min() / dist
         step = _phasors(np.array([spacing]), dist)[0]
         prev = None  # the row before the block
         for start in range(0, freqs.size, rows):
             block = np.empty((min(rows, freqs.size - start), *dist.shape), dtype=complex)
             first = -start % ANCHOR_STRIDE  # the first anchor's row in the block
-            # the direct exp, rounding as exp(-2j*pi*f*d / c) / d does: numpy
-            # divides a complex by a real x as a product with 1/x
+            # the direct exp, rounding as exp(-2j*pi*f*d / c) * (d_min / d)
             anchors = _phasors(freqs[start + first : start + rows : ANCHOR_STRIDE], dist)
             anchors *= inv_dist
             block[first::ANCHOR_STRIDE] = anchors
@@ -139,12 +135,11 @@ def _phasors(freqs: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 class MimoSpectrum(NamedTuple):
-    """An N x K x M channel H as the normalization and the rate read it: the
-    largest |entry| of H, peak; the ascending eigenvalues of the Gram matrix
-    of each subband H_n / peak on its short side, shape (N, min(K, M)); and
-    the source H is read from, with its shape and its blocks."""
+    """An N x K x M channel H with a largest |entry| of 1, as the rate reads
+    it: the ascending eigenvalues of the Gram matrix of each subband H_n on
+    its short side, shape (N, min(K, M)); and the source H is read from,
+    with its shape and its blocks."""
 
-    peak: float
     eigenvalues: np.ndarray
     source: _LineOfSight
 
@@ -158,25 +153,23 @@ class MimoSpectrum(NamedTuple):
 
 def mimo_spectrum(source: _LineOfSight) -> MimoSpectrum:
     """The spectrum of a built line of sight, read in order by blocks of
-    about GRAM_BLOCK_ENTRIES entries of whole subbands. The blocks are the
-    entries times d_min, the nearest element-to-user distance: their largest
-    magnitude is 1, so peak = 1 / d_min and no Gram formed from them can
-    overflow."""
+    about GRAM_BLOCK_ENTRIES entries of whole subbands. The entries are at
+    most 1 in magnitude, so no Gram formed from them can overflow."""
     n, K, M = source.shape
     step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
-    d_min = source.dist.min()
     eigs = np.empty((n, min(K, M)))
-    for start, block in zip(range(0, n, step), source.blocks(step, d_min)):
+    for start, block in zip(range(0, n, step), source.blocks(step)):
         if K > M:
             block = block.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
         eigs[start : start + step] = np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2))
-    return MimoSpectrum(float(1.0 / d_min), eigs, source)
+    return MimoSpectrum(eigs, source)
 
 
 def build_mimo_channel(
     geometry: UlaGeometry, grid: FrequencyGrid, users: UserSet
 ) -> MimoSpectrum:
-    """Exact-distance LoS channel: entry (n,k,m) = (1/d_km) exp(-j 2 pi f_n d_km / c).
+    """Exact-distance LoS channel: entry (n,k,m) = (1/d_km) exp(-j 2 pi f_n d_km / c),
+    held times d_min, so that its largest |entry| is 1.
 
     d_km is the element-to-user Euclidean distance, so near-field curvature
     is captured. Users must lie outside the array (range > aperture/2), and
@@ -196,14 +189,6 @@ def build_mimo_channel(
     return mimo_spectrum(_LineOfSight(dist, grid.frequencies))
 
 
-def normalize_to_lwa(spectrum: MimoSpectrum, lwa_peak: float) -> float:
-    """The normalization factor that scales the channel's max tap magnitude
-    to lwa_peak, the LWA channel's."""
-    if spectrum.peak == 0.0 or lwa_peak == 0.0:
-        raise ZeroChannel("cannot normalize a channel with all-zero entries")
-    return lwa_peak / spectrum.peak
-
-
 def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):
     """Waterfill the pool; return the allocation and the mean rate over N."""
     alloc = waterfill(pooled.ravel(), budget_P, noise)
@@ -211,20 +196,22 @@ def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):
 
 
 def mimo_sum_rate(
-    spectrum: MimoSpectrum, factor: float, budget_P: float, noise: NoiseModel
+    spectrum: MimoSpectrum, peak: float, budget_P: float, noise: NoiseModel
 ) -> float:
     """Spatial-spectral waterfilling rate, bits per channel use.
 
-    Pools the squared singular values of every subband matrix H_n of the
-    channel factor * spectrum.entries as parallel channels, waterfills the
-    budget across the pool, and averages the resulting rates over the N
-    subbands (channel.rate_bits, which raises FloatingPointError
-    if the rate is not finite). waterfill raises ValueError unless the
-    budget is finite and > 0.
+    The channel is peak * spectrum.entries: the unit-peak channel scaled to
+    a largest |entry| of peak, the LWA channel's (max-tap normalization).
+    Pools the squared singular values of every subband matrix H_n of it as
+    parallel channels, waterfills the budget across the pool, and averages
+    the resulting rates over the N subbands (channel.rate_bits, which
+    raises FloatingPointError if the rate is not finite). waterfill raises
+    ValueError unless the budget is finite and > 0, and AllGainsZero if
+    the pool is all zero, as it is for a zero peak.
 
     The squared singular values are taken from the spectrum: the
-    eigenvalues of the r x r Gram matrix of H_n / peak on its short side
-    (r = min(K, M)), times (factor * peak)^2. Those below
+    eigenvalues of the r x r Gram matrix of each unit-peak subband on its
+    short side (r = min(K, M)), times peak^2. Those below
     tau * lambda_max(n), tau = r * eps / GRAM_RTOL, are not resolved and
     enter the waterfill as 0. If the water level shows that one of them
     could still have been active, the pool is recomputed from the SVD of
@@ -234,7 +221,7 @@ def mimo_sum_rate(
     tau = spectrum.eigenvalues.shape[1] * np.finfo(float).eps / GRAM_RTOL
     sigma2 = noise.variance_sigma2
 
-    pooled = spectrum.eigenvalues * np.square(factor * spectrum.peak)
+    pooled = spectrum.eigenvalues * np.square(peak)
     lam_max = pooled[:, -1:]
     unresolved = pooled < tau * lam_max
     pooled[unresolved] = 0.0
@@ -248,5 +235,5 @@ def mimo_sum_rate(
         _, K, M = entries.shape
         tall = entries if K > M else entries.swapaxes(-1, -2)
         svals = np.linalg.svd(tall, compute_uv=False)
-        _, rate = _pooled_rate(np.square(factor * svals), budget_P, noise)
+        _, rate = _pooled_rate(np.square(peak * svals), budget_P, noise)
     return rate

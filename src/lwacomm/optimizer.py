@@ -99,28 +99,36 @@ def waterfill(gains_squared, budget_P: float, noise: NoiseModel) -> PowerAllocat
     expression changes when every floor is shifted, so the floors are taken
     relative to the smallest: near it the differences are exact (Sterbenz),
     even for floors far above the budget that differ only in their last
-    bits. Zero-gain subbands receive exactly zero power. Raises ValueError
-    if a gain is negative or NaN, AllGainsZero when no gain is positive,
-    and FloatingPointError if the rounding of the floors still puts the
-    powers over the budget.
+    bits. A zero gain's floor is inf. Subbands whose floor is inf or whose
+    shifted floor reaches the budget can never be active: they receive
+    exactly zero power and are not sorted. Raises ValueError if a gain is negative or NaN,
+    AllGainsZero when no gain is positive, and FloatingPointError when every
+    positive gain's floor overflows or the rounding of the floors still puts
+    the powers over the budget.
     """
     gains = np.asarray(gains_squared, dtype=float)
     if not 0 < budget_P < math.inf:
         raise ValueError("budget_P must be finite and > 0")
     if not np.all(gains >= 0):  # NaN fails it too
         raise ValueError("gains_squared must be >= 0, not NaN")
-    positive = gains > 0
-    if not np.any(positive):
+    if not np.any(gains > 0):
         raise AllGainsZero("all subband gains are zero")
 
-    floors = noise.variance_sigma2 / gains[positive]
-    floors = floors - floors.min()
+    with np.errstate(divide="ignore", over="ignore"):  # 0 or past the float range: inf
+        floors = noise.variance_sigma2 / gains
+    lowest = floors.min()
+    if lowest == math.inf:
+        raise FloatingPointError("every positive gain's floor sigma^2/g overflows")
+    floors -= lowest
+    # a floor at or above the budget is never active (k f_(k) - S_k >= f_(k))
+    below = floors < budget_P
+    floors = floors[below]
     sorted_floors = np.sort(floors)
     cumulative = np.cumsum(sorted_floors)
     k = np.arange(1, floors.size + 1)
     K = np.count_nonzero(budget_P > k * sorted_floors - cumulative)
     powers = np.zeros_like(gains)
-    powers[positive] = np.maximum(budget_P - (K * floors - cumulative[K - 1]), 0.0) / K
+    powers[below] = np.maximum(budget_P - (K * floors - cumulative[K - 1]), 0.0) / K
     if powers.sum() > budget_P * (1.0 + BUDGET_RTOL):
         # the running sum of thousands of active floors, rounding one way
         raise FloatingPointError("waterfilling lost the budget to the rounding of the floors")

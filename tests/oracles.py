@@ -12,8 +12,9 @@ optimizer's stated updates that never calls the optimizer's own grid
 search or loop, the beampattern map summed over every subband, the
 straightforward per-entry beampattern CSV writer, the
 MIMO rate from a full SVD of every subband matrix, the MIMO spectrum of an
-explicit array with each subband scaled by its own largest part, the MIMO
-tensor from one broadcast expression, and the diffraction gain grid
+explicit array scaled to a largest |entry| of 1 by a pass over the entries,
+with each subband scaled by its own largest part, the unit-peak MIMO tensor
+from one broadcast expression, and the diffraction gain grid
 evaluated in complex arithmetic throughout.
 """
 
@@ -188,14 +189,15 @@ def reference_export_beampattern_csv(path, angle_grid_rad, range_grid_m, energy_
 def svd_mimo_rate(entries, budget_P, noise) -> float:
     """Pooled-eigenmode waterfilling rate from the squared singular values
     of every subband matrix of the N x K x M entries (pass the normalized
-    entries)."""
+    entries). The rate of each mode is log1p(snr) / ln 2, so per-mode SNRs
+    below eps still count."""
     if budget_P <= 0:
         raise ValueError("budget_P must be > 0")
     n_subbands = entries.shape[0]
     svals = np.linalg.svd(entries, compute_uv=False)  # N x min(K, M)
     pooled = (svals ** 2).ravel()
     alloc = waterfill(pooled, budget_P, noise)
-    rates = np.log2(1.0 + alloc.powers * pooled / noise.variance_sigma2)
+    rates = np.log1p(alloc.powers * pooled / noise.variance_sigma2) / math.log(2.0)
     rate = math.fsum(rates) / n_subbands
     if not math.isfinite(rate):
         raise FloatingPointError(f"the MIMO rate is not finite: {rate}")
@@ -219,11 +221,13 @@ class ExplicitEntries(NamedTuple):
 
 def reference_mimo_spectrum(entries) -> MimoSpectrum:
     """The spectrum of an explicit N x K x M array, with no knowledge of how
-    it was made: peak is the largest |entry|, found by a pass over the
-    entries. Each subband H_n is scaled to a largest real or imaginary part
-    p_n of 1 before its Gram is formed on the short side, so the Gram cannot
-    underflow or overflow whatever the subbands' magnitudes, and its
-    eigenvalues are then taken to those of H_n / peak by (p_n / peak)^2."""
+    it was made, as the unit-peak channel entries / peak: peak is the
+    largest |entry|, found by a pass over the entries (an all-zero array
+    stays as it is). Each subband H_n is scaled to a largest real or
+    imaginary part p_n of 1 before its Gram is formed on the short side, so
+    the Gram cannot underflow or overflow whatever the subbands'
+    magnitudes, and its eigenvalues are then taken to those of H_n / peak
+    by (p_n / peak)^2."""
     entries = np.asarray(entries)
     _, K, M = entries.shape
     peak = float(np.max(np.abs(entries)))  # np.max: a nan propagates
@@ -235,18 +239,21 @@ def reference_mimo_spectrum(entries) -> MimoSpectrum:
     eigs = np.linalg.eigvalsh(wide @ wide.conj().swapaxes(-1, -2))
     if peak > 0:
         eigs *= np.square(scale / peak)[:, None]
-    return MimoSpectrum(peak, eigs, ExplicitEntries(entries))
+        entries = entries / peak
+    return MimoSpectrum(eigs, ExplicitEntries(entries))
 
 
 def reference_mimo_entries(geometry, grid, users) -> np.ndarray:
-    """(1/d_km) exp(-j 2 pi f_n d_km / c) as one broadcast expression."""
+    """(d_min/d_km) exp(-j 2 pi f_n d_km / c) as one broadcast expression,
+    d_min the nearest element-to-user distance: the LoS channel scaled to a
+    largest |entry| of 1."""
     ux = users.ranges_m * np.cos(users.angles_rad)
     uy = users.ranges_m * np.sin(users.angles_rad)
     pos = geometry.element_positions
     dist = np.sqrt((ux[:, None] - pos[None, :]) ** 2 + uy[:, None] ** 2)  # K x M
     freqs = grid.frequencies
     phase = np.exp(-2j * np.pi * freqs[:, None, None] * dist[None, :, :] / SPEED_OF_LIGHT)
-    return phase / dist[None, :, :]
+    return phase * (dist.min() / dist)
 
 
 def _reference_sinc(z: np.ndarray) -> np.ndarray:

@@ -32,11 +32,7 @@ from lwacomm.experiments import (
     run_snr_sweep,
     sample_users,
 )
-from lwacomm.mimo import (
-    build_mimo_channel,
-    mimo_sum_rate,
-    normalize_to_lwa,
-)
+from lwacomm.mimo import build_mimo_channel, mimo_sum_rate
 from lwacomm.optimizer import AllGainsZero, waterfill
 from lwacomm.physics import LwaConfig, diffraction_gain_grid
 
@@ -300,7 +296,7 @@ def test_criterion_7_low_snr_ratio_limit():
         users = sample_users(cfg, trial)
         lwa = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
         spectrum = build_mimo_channel(cfg.ula(), grid, users)
-        channel = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa)))) * spectrum.entries
+        channel = float(np.max(np.abs(lwa))) * spectrum.entries
         sigma1 = np.linalg.svd(channel, compute_uv=False)[:, 0]
         limit = float(np.max(sigma1 ** 2) / np.max(channel_gains_squared(lwa)))
         assert mimo_rate / lwa_rate == pytest.approx(limit, rel=1e-6), trial
@@ -318,7 +314,7 @@ def test_criterion_8_mimo_oracle_equivalence():
         entries = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
         spectrum = reference_mimo_spectrum(entries)
         budget = 1.0
-        got = mimo_sum_rate(spectrum, 1.0, budget, NOISE)
+        got = mimo_sum_rate(spectrum, np.max(np.abs(entries)), budget, NOISE)
         pooled = (np.linalg.svd(entries, compute_uv=False) ** 2).ravel()
         best = simplex_grid_best_rate(pooled, budget, 1.0, 100) * pooled.size / 2
         assert got == pytest.approx(best, abs=1e-4)

@@ -109,6 +109,31 @@ def test_floors_equal_within_rounding_are_allocated(tmp_path):
     assert all(math.isfinite(rate) and rate >= 0 for rate in rates)
 
 
+@pytest.mark.parametrize("command", ["optimize", "compare-mimo"])
+@pytest.mark.parametrize("rho", ["1e153", "1e154"])
+def test_far_users_are_allocated(tmp_path, command, rho):
+    # floors sigma^2/g near 1e306 (1e153 m), or past the float range for the
+    # weakest modes (1e154 m): used to overflow in waterfill (exit 3)
+    cfg = write_cfg(tmp_path, FAST_CFG + f"range_min_m = {rho}\nrange_max_m = {rho}\n")
+    out = tmp_path / "far"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = "allocation.txt" if command == "optimize" else "compare.txt"
+    rates = [
+        float(line.split(":")[1])
+        for line in (out / report).read_text().splitlines()
+        if "rate_bits:" in line
+    ]
+    assert rates and all(math.isfinite(rate) and rate > 0 for rate in rates)
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare-mimo"])
+def test_every_floor_overflowing_exits_3(tmp_path, capsys, command):
+    # at 1e156 m every positive gain lies below sigma^2 / 1.8e308
+    cfg = write_cfg(tmp_path, FAST_CFG + "range_min_m = 1e156\nrange_max_m = 1e156\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 3
+    assert "numerical failure: every positive gain's floor" in capsys.readouterr().err
+
+
 def test_repeated_key_exits_2(tmp_path, capsys):
     # the last seed used to win, and the run exited 0
     cfg = write_cfg(tmp_path, FAST_CFG + "seed = 4\n")

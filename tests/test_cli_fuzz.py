@@ -12,10 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from lwacomm.cli import main
 
-# a scenario inside each field's physical range, then up to two float fields
-# replaced by any finite float and up to two count fields by a small integer
-# (0 and negatives included), so that both the validation paths and the
-# numerical paths get exercised while every run stays in milliseconds
+# a scenario inside each field's physical range; in about one draw of four,
+# up to two float fields are then replaced by any finite float and up to two
+# count fields by a small integer (0 and negatives included), so that the
+# validation paths get exercised while most runs reach the numerical paths
+# and their outputs, and every run stays in milliseconds
 FLOAT_FIELDS = [
     "f_low_hz", "f_high_hz", "angle_min_deg", "angle_max_deg", "range_min_m",
     "range_max_m", "power_budget", "noise_variance", "b_min_m", "b_max_m",
@@ -40,7 +41,7 @@ def scenarios(draw):
     scenario.update(
         power_budget=draw(st.floats(min_value=1e-3, max_value=1e3)),
         noise_variance=draw(st.floats(min_value=1e-3, max_value=10.0)),
-        mimo_ref_frequency_hz=draw(st.floats(min_value=0.0, max_value=900e9)),
+        mimo_ref_frequency_hz=draw(st.floats(min_value=50e9, max_value=900e9)),
         num_subbands=draw(st.integers(1, 8)),
         num_users=draw(st.integers(1, 4)),
         b_grid_points=draw(st.integers(1, 3)),
@@ -50,14 +51,15 @@ def scenarios(draw):
         seed=draw(st.integers(0, 2 ** 64 - 1)),
         trials=1,
     )
-    scenario.update(draw(st.dictionaries(
-        st.sampled_from(FLOAT_FIELDS),
-        st.floats(allow_nan=False, allow_infinity=False),
-        max_size=2,
-    )))
-    scenario.update(draw(st.dictionaries(
-        st.sampled_from(COUNT_FIELDS), st.integers(-2, 12), max_size=2
-    )))
+    if draw(st.integers(0, 3)) == 0:  # one draw in four goes out of range
+        scenario.update(draw(st.dictionaries(
+            st.sampled_from(FLOAT_FIELDS),
+            st.floats(allow_nan=False, allow_infinity=False),
+            max_size=2,
+        )))
+        scenario.update(draw(st.dictionaries(
+            st.sampled_from(COUNT_FIELDS), st.integers(-2, 12), max_size=2
+        )))
     return scenario
 
 

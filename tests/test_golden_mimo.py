@@ -2,8 +2,8 @@
 
 Each trial's geometry is the one the LWA optimizer chooses at the default
 power budget. The MIMO channel is built for that trial's user draw,
-normalized once to the LWA channel at that geometry, and rated at every
-budget of the trial's set:
+held with a largest |entry| of 1, scaled by the LWA channel's largest
+|entry| at that geometry, and rated at every budget of the trial's set:
 
 - the default scenario, trials 0-19, at the nine points of the default SNR
   ladder and at 80 dB, where the SVD fallback of mimo_sum_rate runs;
@@ -11,7 +11,9 @@ budget of the trial's set:
   trials 1-3, at the default budget and at 70 dB, where the fallback runs.
 
 golden_mimo.json holds each normalization factor and rate as float hex,
-recorded when the entries came from one direct exp each. They now come from
+recorded when the entries came from one direct exp each, unscaled, and the
+factor scaled them from their largest |entry| 1/d_min to the LWA peak: so
+the factor is lwa_peak * d_min, d_min the nearest element-to-user distance. They now come from
 a phasor recurrence whose entries lie within 4 * Phi_max * eps relative of
 the exact value, as the direct exp's do (Phi_max = 2 pi f_max d_max / c, the
 largest phase; tests/test_mimo.py::TestEntryAccuracy checks both against
@@ -31,15 +33,15 @@ import numpy as np
 from lwacomm.channel import InverseRangeLoss, build_channel
 from lwacomm.cli import DEFAULT_SNR_LADDER_DB
 from lwacomm.experiments import ScenarioConfig, optimize_scenario, sample_users
-from lwacomm.mimo import build_mimo_channel, mimo_sum_rate, normalize_to_lwa
+from lwacomm.mimo import build_mimo_channel, mimo_sum_rate
 from lwacomm.physics import LwaConfig
 
 GOLDEN_PATH = Path(__file__).with_name("golden_mimo.json")
 WIDE_BAND = ScenarioConfig(
     num_subbands=256, num_users=32, mimo_elements=256, b_grid_points=7, slit_grid_points=7
 )
-# The factor is a ratio of peaks, so it moves by the peak entry's rounding
-# alone. The rates move further: the Gram eigenvalues near the resolution
+# The factor is a product of the LWA peak and d_min, which only the rounding
+# of the peak entry moved. The rates move further: the Gram eigenvalues near the resolution
 # floor, and at the fallback point the SVD of nearly rank-deficient
 # subbands, amplify the entries' 1e-10 relative differences.
 FACTOR_RTOL = 1e-14
@@ -65,13 +67,13 @@ def snapshot(config: ScenarioConfig, trial: int, snr_points) -> dict:
         LwaConfig(result.chosen_b, result.chosen_L), grid, users, InverseRangeLoss()
     )
     spectrum = build_mimo_channel(config.ula(), grid, users)
-    factor = normalize_to_lwa(spectrum, float(np.max(np.abs(lwa))))
+    lwa_peak = float(np.max(np.abs(lwa)))
     noise = config.noise()
     return {
         "trial": trial,
-        "factor": float(factor).hex(),
+        "factor": float(lwa_peak * spectrum.source.dist.min()).hex(),
         "rates": [
-            mimo_sum_rate(spectrum, factor, budget_of(config, snr_db), noise).hex()
+            mimo_sum_rate(spectrum, lwa_peak, budget_of(config, snr_db), noise).hex()
             for snr_db in snr_points
         ],
     }

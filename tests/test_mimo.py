@@ -15,13 +15,7 @@ from lwacomm.channel import (
 )
 from lwacomm import mimo
 from lwacomm.experiments import ScenarioConfig, sample_users
-from lwacomm.mimo import (
-    UlaGeometry,
-    ZeroChannel,
-    build_mimo_channel,
-    mimo_sum_rate,
-    normalize_to_lwa,
-)
+from lwacomm.mimo import UlaGeometry, build_mimo_channel, mimo_sum_rate
 from lwacomm.optimizer import AllGainsZero, SearchGrids, alternate_optimize
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
@@ -39,12 +33,12 @@ ULA8 = UlaGeometry(8, 500e9)
 CONFIGS = [ScenarioConfig(), ScenarioConfig(num_subbands=256, num_users=32, mimo_elements=256)]
 CONFIG_IDS = ["default", "wide-band"]
 EPS = np.finfo(float).eps
-# How far, relative, a spectrum's peak 1 / d_min may lie from the largest
-# |entry| as built: an anchor's magnitude errs by about 2 eps (the exp, the
-# product with 1/d, abs), and each of the up to ANCHOR_STRIDE - 1 products
-# with the step phasor by at most sqrt(5) eps / 2 plus the step's own
-# magnitude error, about eps: 2 + 15 * 2.2, so about 35 eps. Draws of both
-# CONFIGS reach 6 eps.
+# How far the largest |entry| of a built spectrum, whose exact value is 1,
+# may lie from 1: an anchor's magnitude errs by about 2.5 eps (the exp, the
+# rounding of d_min / d and the product with it, abs), and each of the up
+# to ANCHOR_STRIDE - 1 products with the step phasor by at most
+# sqrt(5) eps / 2 plus the step's own magnitude error, about eps:
+# 2.5 + 15 * 2.2, so about 36 eps.
 PEAK_RTOL = 40 * EPS
 
 
@@ -82,7 +76,8 @@ class TestGeometry:
 class TestBuildChannel:
     def test_single_element_is_range_loss(self):
         spectrum = build_mimo_channel(UlaGeometry(1, 500e9), GRID, USERS)
-        want = np.tile(1.0 / USERS.ranges_m, (GRID.num_subbands, 1))
+        ranges = USERS.ranges_m
+        want = np.tile(ranges.min() / ranges, (GRID.num_subbands, 1))
         np.testing.assert_allclose(np.abs(spectrum.entries[:, :, 0]), want, rtol=1e-12)
 
     def test_magnitude_frequency_independent(self):
@@ -238,27 +233,24 @@ def gram_eigenvalues(rows):
 
 
 def assert_spectrum_of_rows(built):
-    """built's peak is 1 / d_min and its eigenvalues are those of its rows
-    times d_min made as one block, bitwise, whatever block size it was read
-    in."""
+    """built's eigenvalues are those of its rows made as one block, bitwise,
+    whatever block size it was read in, and its largest |entry| lies within
+    PEAK_RTOL of 1."""
     source = built.source
-    d_min = source.dist.min()
-    assert built.peak == 1.0 / d_min
-    rows = next(source.blocks(source.shape[0], d_min))
+    rows = next(source.blocks(source.shape[0]))
     assert np.array_equal(built.eigenvalues, gram_eigenvalues(rows))
+    assert math.isclose(np.max(np.abs(rows)), 1.0, rel_tol=PEAK_RTOL)
 
 
 def assert_as_reference(built, reference):
-    """built's peak and factor lie within PEAK_RTOL of the reference
-    spectrum's, and its rates within TestGramRate's 1e-12."""
-    assert math.isclose(built.peak, reference.peak, rel_tol=PEAK_RTOL)
+    """built's entries lie within PEAK_RTOL of the reference spectrum's, and
+    its rates within TestGramRate's 1e-12."""
+    np.testing.assert_allclose(built.entries, reference.entries, rtol=PEAK_RTOL, atol=0)
     target = lwa_peak()
-    factor = normalize_to_lwa(built, target)
-    assert math.isclose(factor, normalize_to_lwa(reference, target), rel_tol=PEAK_RTOL)
     for snr_db in (-10.0, 20.0, 50.0):
         budget = snr_budget(built, snr_db)
-        got = mimo_sum_rate(built, factor, budget, NOISE)
-        want = mimo_sum_rate(reference, factor, budget, NOISE)
+        got = mimo_sum_rate(built, target, budget, NOISE)
+        want = mimo_sum_rate(reference, target, budget, NOISE)
         assert math.isclose(got, want, rel_tol=1e-12), (snr_db, got, want)
 
 
@@ -269,8 +261,8 @@ def lwa_peak(grid=GRID, users=USERS, b=1e-3, L=20e-3):
 
 
 class TestEntryAccuracy:
-    """Entries against exp(-2j pi f d / c) / d at 40 digits, for the same
-    float f and d: the recurrence's entries and the direct exp's
+    """Entries against d_min exp(-2j pi f d / c) / d at 40 digits, for the
+    same float f, d and d_min: the recurrence's entries and the direct exp's
     (oracles.reference_mimo_entries) both lie within 4 * Phi_max * eps
     relative of it. The phase 2 pi f d / c reaches Phi_max ~ 3e5 rad on
     wide-band, so rounding its argument already costs the direct exp about
@@ -286,6 +278,7 @@ class TestEntryAccuracy:
             users = sample_users(config, trial)
             spectrum = build_mimo_channel(config.ula(), grid, users)
             dist = spectrum.source.dist
+            d_min = mp.mpf(float(dist.min()))
             entries = {
                 "recurrence": spectrum.entries,
                 "direct": reference_mimo_entries(config.ula(), grid, users),
@@ -296,7 +289,7 @@ class TestEntryAccuracy:
                 for n, k, m in picks:
                     d = mp.mpf(float(dist[k, m]))
                     phase = -2 * mp.pi * mp.mpf(float(grid.frequencies[n])) * d / SPEED_OF_LIGHT
-                    exact = mp.expj(phase) / d
+                    exact = d_min * mp.expj(phase) / d
                     for name, values in entries.items():
                         err = float(abs(mp.mpc(complex(values[n, k, m])) - exact) / abs(exact))
                         worst[name] = max(worst[name], err)
@@ -304,33 +297,32 @@ class TestEntryAccuracy:
 
 
 class TestNormalization:
+    """The channel a rate reads is peak * spectrum.entries: the spectrum's
+    entries have a largest |entry| of 1, and the LWA peak scales them."""
+
     def test_equal_max_is_identity(self):
         lwa_max = lwa_peak()
         entries = np.full((2, 1, 1), lwa_max, dtype=complex)
-        factor = normalize_to_lwa(reference_mimo_spectrum(entries), lwa_max)
-        assert factor == pytest.approx(1.0)
-        np.testing.assert_allclose(factor * entries, entries)
+        spectrum = reference_mimo_spectrum(entries)
+        np.testing.assert_allclose(lwa_max * spectrum.entries, entries, rtol=1e-15)
 
     def test_double_max_halves_entries(self):
         lwa_max = lwa_peak()
         entries = np.full((2, 1, 1), 2 * lwa_max, dtype=complex)
         spectrum = reference_mimo_spectrum(entries)
-        factor = normalize_to_lwa(spectrum, lwa_max)
-        assert spectrum.entries is entries
-        np.testing.assert_allclose(np.abs(factor * spectrum.entries), lwa_max, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(lwa_max * spectrum.entries), lwa_max, rtol=1e-12)
 
     def test_random_tensor_hits_target(self):
         rng = np.random.default_rng(9)
         lwa_max = lwa_peak()
         entries = rng.normal(size=(4, 2, 8)) + 1j * rng.normal(size=(4, 2, 8))
-        factor = normalize_to_lwa(reference_mimo_spectrum(entries), lwa_max)
-        assert np.max(np.abs(factor * entries)) == pytest.approx(lwa_max, rel=1e-12)
+        spectrum = reference_mimo_spectrum(entries)
+        assert np.max(np.abs(lwa_max * spectrum.entries)) == pytest.approx(lwa_max, rel=1e-12)
 
     def test_idempotent(self):
         lwa_max = lwa_peak()
-        spectrum = build_mimo_channel(ULA8, GRID, USERS)
-        once = normalize_to_lwa(spectrum, lwa_max) * spectrum.entries
-        twice = normalize_to_lwa(reference_mimo_spectrum(once), lwa_max) * once
+        once = lwa_max * build_mimo_channel(ULA8, GRID, USERS).entries
+        twice = lwa_max * reference_mimo_spectrum(once).entries
         np.testing.assert_allclose(twice, once, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -350,32 +342,32 @@ class TestNormalization:
             return reads[-1]
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        lwa_max = lwa_peak()
         spectrum = build_mimo_channel(config.ula(), config.frequency_grid(), sample_users(config, 4))
-        factor = normalize_to_lwa(spectrum, lwa_max)
         assert len(reads) >= 4
         assert np.array_equal(np.concatenate(reads), spectrum.eigenvalues)
-        assert spectrum.peak == 1.0 / spectrum.source.dist.min()
         largest = float(np.max(np.abs(spectrum.entries)))
-        assert math.isclose(spectrum.peak, largest, rel_tol=PEAK_RTOL)
-        assert factor == lwa_max / spectrum.peak
+        assert math.isclose(largest, 1.0, rel_tol=PEAK_RTOL)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_peak_is_the_largest_entry(self, config):
-        # every entry has magnitude 1/d_km, so none exceeds 1/d_min
+        # every entry has magnitude d_min/d_km, so the largest is 1, at d_min
         grid = config.frequency_grid()
         for trial in range(3):
             spectrum = build_mimo_channel(config.ula(), grid, sample_users(config, trial))
-            largest = float(np.max(np.abs(spectrum.entries)))
-            assert math.isclose(spectrum.peak, largest, rel_tol=PEAK_RTOL), trial
+            magnitudes = np.abs(spectrum.entries)
+            assert math.isclose(magnitudes.max(), 1.0, rel_tol=PEAK_RTOL), trial
+            nearest = np.unravel_index(spectrum.source.dist.argmin(), spectrum.source.dist.shape)
+            assert np.allclose(magnitudes[:, nearest[0], nearest[1]], 1.0, rtol=PEAK_RTOL, atol=0)
 
     def test_zero_channel_raises(self):
-        with pytest.raises(ZeroChannel):
-            normalize_to_lwa(reference_mimo_spectrum(np.zeros((1, 1, 1), complex)), lwa_peak())
+        spectrum = reference_mimo_spectrum(np.zeros((1, 1, 1), complex))
+        with pytest.raises(AllGainsZero):
+            mimo_sum_rate(spectrum, lwa_peak(), 1.0, NOISE)
 
     def test_zero_lwa_peak_raises(self):
-        with pytest.raises(ZeroChannel):
-            normalize_to_lwa(reference_mimo_spectrum(np.ones((1, 1, 1), complex)), 0.0)
+        spectrum = reference_mimo_spectrum(np.ones((1, 1, 1), complex))
+        with pytest.raises(AllGainsZero):
+            mimo_sum_rate(spectrum, 0.0, 1.0, NOISE)
 
 
 class TestSumRate:
@@ -390,7 +382,7 @@ class TestSumRate:
         h = np.zeros((n, 2, 2), dtype=complex)
         for i in range(n):
             h[i] = np.array([[1.0, 1.0], [1.0, 1.0]])  # rank 1, s1^2 = 4
-        rate = mimo_sum_rate(reference_mimo_spectrum(h), 1.0, p, NOISE)
+        rate = mimo_sum_rate(reference_mimo_spectrum(h), 1.0, p, NOISE)  # max |h| = 1
         assert rate == pytest.approx(math.log2(1.0 + (p / n) * 4.0), rel=1e-9)
 
     def test_matches_simplex_enumeration(self):
@@ -399,7 +391,7 @@ class TestSumRate:
             entries = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
             spectrum = reference_mimo_spectrum(entries)
             budget = 1.0
-            got = mimo_sum_rate(spectrum, 1.0, budget, NOISE)
+            got = mimo_sum_rate(spectrum, np.max(np.abs(entries)), budget, NOISE)
             pooled = (np.linalg.svd(entries, compute_uv=False) ** 2).ravel()
             best = simplex_grid_best_rate(pooled, budget, 1.0, 100) * pooled.size / 2
             assert got == pytest.approx(best, abs=1e-4)
@@ -411,7 +403,7 @@ class TestSumRate:
                 mimo_sum_rate(spectrum, 1.0, budget, NOISE)
 
     def test_nan_factor_rejected(self):
-        # a NaN factor used to be reported as all subband gains being zero
+        # a NaN peak used to be reported as all subband gains being zero
         spectrum = reference_mimo_spectrum(np.ones((2, 1, 1), dtype=complex))
         with pytest.raises(ValueError, match="not NaN") as info:
             mimo_sum_rate(spectrum, math.nan, 1.0, NOISE)
@@ -421,7 +413,7 @@ class TestSumRate:
         # s^2 = 1e400 overflows to inf, so the rate would be inf
         spectrum = reference_mimo_spectrum(np.full((1, 1, 1), 1e200, dtype=complex))
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            mimo_sum_rate(spectrum, 1.0, 1.0, NOISE)
+            mimo_sum_rate(spectrum, 1e200, 1.0, NOISE)
 
     @pytest.mark.parametrize("sigma2", [1.0, 0.3])
     def test_single_antenna_matches_lwa_rate(self, sigma2):
@@ -433,7 +425,8 @@ class TestSumRate:
         for _ in range(20):
             h = rng.normal(size=16) + 1j * rng.normal(size=16)
             budget = rng.uniform(0.5, 20.0)
-            mimo_rate = mimo_sum_rate(reference_mimo_spectrum(h[:, None, None]), 1.0, budget, noise)
+            spectrum = reference_mimo_spectrum(h[:, None, None])
+            mimo_rate = mimo_sum_rate(spectrum, np.max(np.abs(h)), budget, noise)
             lwa = alternate_optimize(grids, (np.abs(h) ** 2)[None, None, :], budget, noise)
             assert math.isclose(mimo_rate, lwa.sum_rate, rel_tol=1e-14)
 
@@ -451,8 +444,7 @@ class TestSumRate:
             rates = []
             for m in (4, 8):
                 spectrum = build_mimo_channel(UlaGeometry(m, 500e9), grid, users)
-                factor = normalize_to_lwa(spectrum, target)
-                rates.append(mimo_sum_rate(spectrum, factor, 10.0, NOISE))
+                rates.append(mimo_sum_rate(spectrum, target, 10.0, NOISE))
             if rates[1] >= rates[0] - 1e-12:
                 wins += 1
         assert wins >= int(0.9 * trials)
@@ -469,8 +461,7 @@ class TestSpectrumMemory:
         tracemalloc.start()
         try:
             spectrum = build_mimo_channel(ula, grid, users)
-            factor = normalize_to_lwa(spectrum, target)
-            rate = mimo_sum_rate(spectrum, factor, config.power_budget, NOISE)
+            rate = mimo_sum_rate(spectrum, target, config.power_budget, NOISE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -486,34 +477,32 @@ class TestSpectrumMemory:
         built = build_mimo_channel(config.ula(), grid, users)
         entries = built.entries
         explicit = reference_mimo_spectrum(entries)
-        assert explicit.entries is entries
-        factor = normalize_to_lwa(explicit, target)
-        assert math.isclose(normalize_to_lwa(built, target), factor, rel_tol=PEAK_RTOL)
+        np.testing.assert_allclose(explicit.entries, entries, rtol=PEAK_RTOL, atol=0)
         budget = snr_budget(built, snr_db)
         assert math.isclose(
-            mimo_sum_rate(explicit, factor, budget, NOISE),
-            mimo_sum_rate(built, factor, budget, NOISE),
+            mimo_sum_rate(explicit, target, budget, NOISE),
+            mimo_sum_rate(built, target, budget, NOISE),
             rel_tol=1e-12,
         )
         assert len(svd_calls) == svd_runs
 
 
 def normalized_spectrum(num_users, num_elements, seed=0):
-    """A compare-mimo spectrum of 8 subbands and its factor normalizing it to
-    a fixed LWA channel."""
+    """A compare-mimo spectrum of 8 subbands and the peak of a fixed LWA
+    channel that scales it."""
     config = ScenarioConfig(num_subbands=8, num_users=num_users, mimo_elements=num_elements)
     users = sample_users(config, seed)
     grid = config.frequency_grid()
     spectrum = build_mimo_channel(config.ula(), grid, users)
-    return spectrum, normalize_to_lwa(spectrum, lwa_peak(grid, users, L=14e-3))
+    return spectrum, lwa_peak(grid, users, L=14e-3)
 
 
 def snr_budget(spectrum, snr_db):
     return 10.0 ** (snr_db / 10.0) * spectrum.eigenvalues.shape[0] * NOISE.variance_sigma2
 
 
-def oracle_rate(spectrum, factor, budget):
-    return svd_mimo_rate(factor * spectrum.entries, budget, NOISE)
+def oracle_rate(spectrum, peak, budget):
+    return svd_mimo_rate(peak * spectrum.entries, budget, NOISE)
 
 
 @pytest.fixture
@@ -538,48 +527,48 @@ class TestGramRate:
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
     def test_matches_svd_oracle(self, shape, svd_calls):
         for seed in (0, 1):
-            spectrum, factor = normalized_spectrum(*shape, seed)
+            spectrum, peak = normalized_spectrum(*shape, seed)
             for snr_db in range(-10, 61, 10):
                 budget = snr_budget(spectrum, snr_db)
-                want = oracle_rate(spectrum, factor, budget)
+                want = oracle_rate(spectrum, peak, budget)
                 del svd_calls[:]
-                got = mimo_sum_rate(spectrum, factor, budget, NOISE)
+                got = mimo_sum_rate(spectrum, peak, budget, NOISE)
                 assert svd_calls == [], f"the SVD fallback ran at {snr_db} dB"
                 assert math.isclose(got, want, rel_tol=1e-12), (seed, snr_db, got, want)
 
     @pytest.mark.parametrize("snr_db", [100.0, 200.0])
     @pytest.mark.parametrize("shape", SHAPES[1:], ids=str)
     def test_fallback_at_high_snr(self, shape, snr_db, svd_calls):
-        spectrum, factor = normalized_spectrum(*shape)
+        spectrum, peak = normalized_spectrum(*shape)
         budget = snr_budget(spectrum, snr_db)
-        want = oracle_rate(spectrum, factor, budget)
+        want = oracle_rate(spectrum, peak, budget)
         del svd_calls[:]
-        got = mimo_sum_rate(spectrum, factor, budget, NOISE)
+        got = mimo_sum_rate(spectrum, peak, budget, NOISE)
         K, M = shape
         assert svd_calls == [(8, max(K, M), min(K, M))]  # tall orientation
         assert math.isclose(got, want, rel_tol=1e-9)
 
     @pytest.mark.parametrize("shape", [(2, 8), (12, 4)], ids=str)
     def test_all_zero_subband_block(self, shape):
-        spectrum, factor = normalized_spectrum(*shape)
+        spectrum, peak = normalized_spectrum(*shape)
         entries = spectrum.entries.copy()
         entries[2:4] = 0.0
         spectrum = reference_mimo_spectrum(entries)
         for snr_db in (-10.0, 30.0):
             budget = snr_budget(spectrum, snr_db)
             with np.errstate(divide="raise", over="raise", invalid="raise"):
-                got = mimo_sum_rate(spectrum, factor, budget, NOISE)
-            assert math.isclose(got, oracle_rate(spectrum, factor, budget), rel_tol=1e-12)
+                got = mimo_sum_rate(spectrum, peak, budget, NOISE)
+            assert math.isclose(got, oracle_rate(spectrum, peak, budget), rel_tol=1e-12)
 
     @pytest.mark.parametrize("magnitude", [1e-170, 1e170])
     def test_gram_of_extreme_entries(self, magnitude):
         # the Gram of these entries would underflow or overflow unscaled
-        spectrum, factor = normalized_spectrum(8, 8)
+        spectrum, peak = normalized_spectrum(8, 8)
         budget = snr_budget(spectrum, 20.0)
-        want = mimo_sum_rate(spectrum, factor, budget, NOISE)
+        want = mimo_sum_rate(spectrum, peak, budget, NOISE)
         moved = reference_mimo_spectrum(spectrum.entries * magnitude)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            got = mimo_sum_rate(moved, factor / magnitude, budget, NOISE)
+            got = mimo_sum_rate(moved, peak, budget, NOISE)
         assert math.isclose(got, want, rel_tol=1e-12)
 
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
@@ -601,13 +590,12 @@ class TestGramRate:
         target = lwa_peak()
         for name, rho in ranges.items():
             spectrum = build_mimo_channel(ula, grid, UserSet(angles, rho))
-            factor = normalize_to_lwa(spectrum, target)
             for snr_db in (-10.0, 20.0, 50.0):
                 budget = snr_budget(spectrum, snr_db)
-                got = mimo_sum_rate(spectrum, factor, budget, NOISE)
+                got = mimo_sum_rate(spectrum, target, budget, NOISE)
                 # the far users' squared singular values, down to 1e-300, give
-                # floors that overflow to inf (and inf - inf in the active-set
-                # count): modes the budget never reaches
-                with np.errstate(over="ignore", invalid="ignore"):
-                    want = oracle_rate(spectrum, factor, budget)
+                # floors past the float range: modes the budget never reaches,
+                # which waterfill leaves out
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    want = oracle_rate(spectrum, target, budget)
                 assert math.isclose(got, want, rel_tol=1e-12), (name, snr_db, got, want)

@@ -121,6 +121,23 @@ class TestWaterfill:
         with pytest.raises(FloatingPointError, match="rounding of the floors"):
             waterfill(gains, 1.0, NOISE)
 
+    def test_overflowing_floor_gets_zero_power(self):
+        # sigma^2/g of 1e-310, and 3 f_(3) of the 1e308 floor, pass the
+        # float range: both modes are inactive, and neither may raise
+        gains = [1e-310, 1e-308, 4.0, 1.0]
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            alloc = waterfill(gains, 1.0, NOISE)
+        assert alloc.powers[0] == alloc.powers[1] == 0.0
+        np.testing.assert_allclose(alloc.powers, exact_waterfill(gains, 1.0, 1.0), rtol=1e-12)
+
+    def test_every_floor_overflowing_raises(self):
+        # positive gains all below sigma^2 / 1.8e308: no floor is a float
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match="overflows"):
+                waterfill([1e-310, 0.0, 5e-324], 1.0, NOISE)
+            with pytest.raises(FloatingPointError, match="overflows"):
+                waterfill([1e-300], 1.0, NoiseModel(1e10))
+
     def test_budget_tight_random(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
@@ -157,8 +174,8 @@ def make_draw(n_sub=4, users=None):
     return grid, users
 
 
-def gains_for(grids, grid, users, loss=LOSS):
-    return geometry_gains_squared(grids.b_grid, grids.L_grid, grid, users, loss)
+def gains_for(grids, grid, users):
+    return geometry_gains_squared(grids.b_grid, grids.L_grid, grid, users, LOSS)
 
 
 def default_gains(grids, n_sub=4):
@@ -253,7 +270,8 @@ class TestGridSearch:
         grids = bounded_grids(4, 4)
         powers = PowerAllocation.uniform(6, 10.0)
         first = grid_search_geometry(grids, powers, gains_for(grids, grid, users), NOISE)
-        scaled = gains_for(grids, grid, users, InverseRangeLoss(2.5))
+        nearer = UserSet(users.angles_rad, users.ranges_m / 2.5)
+        scaled = gains_for(grids, grid, nearer)
         assert grid_search_geometry(grids, powers, scaled, NOISE) == first
 
     def test_gains_must_match_grids(self):

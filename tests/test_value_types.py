@@ -25,7 +25,7 @@ VALUE_TYPES = [
     (FrequencyGrid, {"frequencies": np.array([3e11, 5e11])}),
     (UserSet, {"angles_rad": np.array([0.4, 0.9]), "ranges_m": np.array([12.0, 17.0])}),
     (NoiseModel, {"variance_sigma2": 0.5}),
-    (InverseRangeLoss, {"reference_range_m": 2.0}),
+    (InverseRangeLoss, {}),
     (PowerAllocation, {"powers": np.array([0.25, 0.75]), "total_budget_P": 1.0}),
     (SearchGrids, {"b_grid": np.array([0.9e-3, 1e-3]), "L_grid": np.array([0.02])}),
     (TraceRecord, {"iteration": 2, "b_m": 1e-3, "L_m": 0.02, "rate_bits": 1.5}),
@@ -44,7 +44,6 @@ VALUE_TYPES = [
     (
         MimoSpectrum,
         {
-            "peak": 2.0,
             "eigenvalues": np.ones((2, 1)),
             "source": _LineOfSight(np.full((1, 1), 0.5), np.array([3e11, 5e11])),
         },
