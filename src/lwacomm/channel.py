@@ -112,10 +112,14 @@ def geometry_gains_squared(
 ) -> np.ndarray:
     """||h_n||^2 for every geometry of the b x L search grid, shape (B, L, N).
 
-    Entry [i, j] equals the ||h_n||^2 that average_sum_rate takes from the
-    channel h = build_channel(LwaConfig(b_grid[i], L_grid[j]), grid, users,
-    loss), bitwise, so subbands below that geometry's cutoff are zero. Both
-    add the users in order, k = 0, 1, ..., K-1. The b rows go in blocks of
+    L_grid must be evenly spaced, as linspace makes it (physics.even_spacing);
+    ValueError is raised otherwise. Entry [i, j] is the ||h_n||^2 that
+    average_sum_rate takes from the channel h = build_channel(LwaConfig(
+    b_grid[i], L_grid[j]), grid, users, loss): bitwise on the anchor rows j =
+    0 (mod SLIT_ANCHOR_STRIDE), and within the slit recurrence's bound of
+    physics.py elsewhere, (2 R_j + K + 3) eps sum_k Gamma_k^2 for its gain
+    bound R_j eps. Subbands below that geometry's cutoff are exactly zero.
+    Both add the users in order, k = 0, 1, ..., K-1. The b rows go in blocks of
     at most GAINS_BLOCK_ENTRIES entries per user (at least one row). In
     each block, one diffraction_gain_grid call per user gives its
     contiguous (rows, L, N) gains, which are scaled and squared in place

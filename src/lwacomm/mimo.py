@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import FrequencyGrid, NoiseModel, UserSet, rate_bits
 from .optimizer import waterfill
-from .physics import SPEED_OF_LIGHT
+from .physics import SPEED_OF_LIGHT, even_spacing
 
 # Relative accuracy asked of every Gram eigenvalue the rate uses. A Gram
 # eigenvalue of an r x r subband carries an absolute error of order
@@ -46,9 +46,6 @@ GRAM_RTOL = 1e-9
 GRAM_BLOCK_ENTRIES = 2**15
 # Subbands from one exact-exp anchor row of the LoS entries to the next.
 ANCHOR_STRIDE = 16
-# How far, in eps * f_max, a subband center may lie off the line through the
-# first and last: subband_centers rounding leaves at most about 2.
-SPACING_TOL = 4.0
 
 
 class UlaGeometry:
@@ -103,11 +100,7 @@ class _LineOfSight(NamedTuple):
         last. A block's last row goes on into the next block, so a block must
         not be written before the next one is read."""
         dist, freqs = self.dist, self.freqs
-        n = np.arange(freqs.size)
-        spacing = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
-        off_line = np.abs(freqs - (freqs[0] + n * spacing))
-        if np.any(off_line > SPACING_TOL * np.finfo(float).eps * freqs[-1]):
-            raise ValueError("the subband centers must be evenly spaced")
+        spacing = even_spacing(freqs, "the subband centers")
         inv_dist = dist.min() / dist
         step = _phasors(np.array([spacing]), dist)[0]
         prev = None  # the row before the block
@@ -174,10 +167,10 @@ def build_mimo_channel(
     d_km is the element-to-user Euclidean distance, so near-field curvature
     is captured. Users must lie outside the array (range > aperture/2), and
     the subband centers must be evenly spaced, as FrequencyGrid.subband_centers
-    makes them: every f_n within SPACING_TOL * eps * f_max of f_0 + n * delta.
-    ValueError is raised otherwise. The spectrum is read here, in one pass
-    over blocks of subbands; the N x K x M entries are never held at once,
-    and .entries rebuilds them.
+    makes them: every f_n within SPACING_TOL * eps * f_max of f_0 + n * delta
+    (physics.even_spacing). ValueError is raised otherwise. The spectrum is
+    read here, in one pass over blocks of subbands; the N x K x M entries
+    are never held at once, and .entries rebuilds them.
     """
     if np.any(users.ranges_m <= geometry.aperture_m / 2.0):
         raise ValueError("user ranges must exceed half the array aperture")

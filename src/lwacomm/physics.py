@@ -8,6 +8,42 @@ a sinc-shaped diffraction pattern whose width shrinks as the slit grows.
 diffraction_gain_grid is the one way in: the optimizer, the beampattern and
 the MIMO normalization all read the gain from it. It is pure; LwaConfig is a
 plain class that checks its fields when it is built.
+
+Along an evenly spaced slit column the sinc argument z_j = w L_j / 2, with
+w = beta - k0 cos(phi), is linear in j. So sin(z_j) is the imaginary part of
+a phasor that advances by one complex multiply per row, with an exact anchor
+exp(i z_j) every SLIT_ANCHOR_STRIDE rows; an anchor's imaginary part is
+sin(z_j) bitwise. For row j, m = j mod SLIT_ANCHOR_STRIDE steps past its
+anchor a, against sin(z_j) / z_j on the same bits of z_j:
+
+    |G_j - sin(z_j) / z_j| <= (2 SPACING_TOL + 8 + 5 m) (L_max / L_j) eps
+
+- The phasor's magnitude errs by at most (1 + 1.6 m) eps: eps for the
+  anchor; per step, eps for the step's magnitude and sqrt(5) eps / 2 for
+  the complex product.
+- Its phase errs by at most Z_max (5.5 + 2 SPACING_TOL + 2.5 m) eps, with
+  Z_max = |w| L_max / 2. The anchor's phase and the roundings of z_j and
+  z_a cost 3 Z_max eps. The step's phase w delta / 2 errs by 2.5 eps
+  relative, 2.5 Z_max eps over the m steps. The slit lengths may lie
+  SPACING_TOL eps L_max off the line at either end: 2 SPACING_TOL Z_max eps.
+  Each product's phase errs by at most 2.5 Z_max eps, since its terms are
+  bounded by the phases they add.
+- sin(z_j) errs by the magnitude error times |sin z_j| plus the phase
+  error. Divided by z_j, that leaves the magnitude error plus the phase
+  error over |z_j|, and Z_max / |z_j| = L_max / L_j. Rounding the quotient
+  costs one eps more.
+
+The direct sin meets the same bound (it lies within 2 eps of the exact
+sinc of its argument), and entries below the series cutoff come from z
+alone, so they equal the direct ones. For ||h_n||^2 = sum_k (G_k Gamma_k)^2,
+with |G| <= 1, a gain bound R eps on every user's row gives (2 R + K + 3) eps
+sum_k Gamma_k^2: twice the gain error, plus one rounding of each product,
+square and running sum that may fall the other way.
+
+Both evaluations share the argument z. Its own rounding against the exact
+argument is at most about Z (2.5 / s + 7.35) eps, with Z = k0 L / 2 and
+s = sqrt(1 - (c / (2 b f))^2); that moves G by at most 0.44 times as much,
+0.44 being the largest |sinc'|.
 """
 
 from __future__ import annotations
@@ -19,15 +55,23 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # Below this magnitude sin(z)/z is evaluated by series to avoid cancellation
 # at the beam peak, where the argument crosses zero.
 _SINC_SERIES_CUTOFF = 1e-6
+# Slit rows from one exact anchor exp(i z) to the next: the default 21-slit
+# grid takes a single anchor.
+SLIT_ANCHOR_STRIDE = 32
+# How far, in eps * max|v|, a value of an evenly spaced column (slit lengths,
+# subband centers) may lie off the line through its first and last: linspace
+# and subband_centers rounding leave at most about 2.
+SPACING_TOL = 4.0
 
 
 class LwaConfig:
     """Antenna geometry: plate separation b and slit length L, in meters.
 
-    slit_length_L may be a (J, 1, 1) array of slit lengths, for which
-    diffraction_gain_grid returns one gain grid per slit, and
+    slit_length_L may be a (J, 1, 1) array of evenly spaced slit lengths,
+    for which diffraction_gain_grid returns one gain grid per slit, and
     plate_separation_b a (B, 1, 1) array, for which it returns one such
-    (J, N, K) block per b. Every field must be finite.
+    (J, N, K) block per b. Every field must be finite. The column's spacing
+    is checked when the gain is evaluated, not here.
     """
 
     __slots__ = ("plate_separation_b", "slit_length_L")
@@ -48,7 +92,42 @@ class LwaConfig:
         return SPEED_OF_LIGHT / (2.0 * self.plate_separation_b)
 
 
-def _sinc(z: np.ndarray) -> np.ndarray:
+def even_spacing(values: np.ndarray, what: str) -> float:
+    """The step (v[-1] - v[0]) / (n - 1) of a 1-D array of n values, 0 for
+    one value. Raises ValueError("<what> must be evenly spaced") unless every
+    value lies within SPACING_TOL * eps * max|v| of v[0] + i * step."""
+    n = np.arange(values.size)
+    step = (values[-1] - values[0]) / max(values.size - 1, 1)
+    off_line = np.abs(values - (values[0] + n * step))
+    if np.any(off_line > SPACING_TOL * np.finfo(float).eps * np.abs(values).max()):
+        raise ValueError(f"{what} must be evenly spaced")
+    return step
+
+
+def _slit_sines(z: np.ndarray, w: np.ndarray, spacing: float) -> np.ndarray:
+    """sin(z) of z = w * (L_j / 2) over an evenly spaced slit axis (axis -3),
+    by the phasor recurrence: row j is row j - 1 times exp(i w spacing / 2),
+    and each row j = 0 (mod SLIT_ANCHOR_STRIDE) is the anchor exp(i z_j),
+    whose imaginary part is sin(z_j) bitwise. Only the current row and the
+    step are held as complex arrays; each row's imaginary part goes straight
+    into the result."""
+    sines = np.empty(z.shape)
+    z_rows, sine_rows = np.moveaxis(z, -3, 0), np.moveaxis(sines, -3, 0)
+    row = np.empty(z_rows.shape[1:], dtype=complex)
+    if len(z_rows) > 1:
+        step = np.multiply(1j, np.reshape(w * (spacing / 2.0), row.shape))
+        np.exp(step, out=step)
+    for j, z_row in enumerate(z_rows):
+        if j % SLIT_ANCHOR_STRIDE:
+            row *= step
+        else:
+            np.multiply(1j, z_row, out=row)
+            np.exp(row, out=row)
+        sine_rows[j] = row.imag
+    return sines
+
+
+def _sinc(z: np.ndarray, sines: np.ndarray | None = None) -> np.ndarray:
     """Unnormalized sinc sin(z)/z of real z, sinc(0) = 1, in float64.
 
     Near zero a 4th-order series keeps the peak numerically exact. sin(z) is
@@ -56,6 +135,8 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     number whose imaginary part is 0, so the result equals the complex
     evaluation bitwise. z itself is never written; it is copied, and the
     mask of series entries built, only when some entry needs the series.
+    sines, when given, is sin(z) already made, and is written in place;
+    the series entries take no value from it.
     """
     z = np.asarray(z)
     magnitude = np.abs(z)
@@ -64,7 +145,7 @@ def _sinc(z: np.ndarray) -> np.ndarray:
     if magnitude.size and np.fmin.reduce(magnitude, axis=None) < _SINC_SERIES_CUTOFF:
         small = magnitude < _SINC_SERIES_CUTOFF
     safe = z if small is None else np.where(small, 1.0, z)
-    out = np.sin(safe)
+    out = np.sin(safe) if sines is None else sines
     # the magnitudes are no longer needed, so the reciprocal goes there
     out *= np.divide(1.0, safe, out=magnitude)
     if small is not None:
@@ -90,8 +171,16 @@ def diffraction_gain_grid(
     leading b axis, (B, J, N, K), with J = 1 for a scalar slit length;
     every entry equals the one evaluated with that b alone, bitwise. The
     gain is float64. Below the cutoff c/(2b) the guided mode is evanescent
-    and radiates nothing: those frequencies get a gain of exactly 0. Raises
-    ValueError unless every frequency is finite and > 0.
+    and radiates nothing: those frequencies get a gain of exactly 0.
+
+    A scalar slit length takes sin directly. A slit column must be evenly
+    spaced, every L_j within SPACING_TOL * eps * max|L| of L_0 + j * delta,
+    as linspace makes it; along it sin comes from the phasor recurrence of
+    the module docstring. Its anchor rows (j = 0 mod SLIT_ANCHOR_STRIDE)
+    equal the gain evaluated with that slit length alone, bitwise, and the
+    other rows lie within the recurrence's bound of it. Raises ValueError
+    unless every frequency is finite and > 0, or if a slit column is not
+    evenly spaced.
     """
     angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
@@ -104,8 +193,13 @@ def diffraction_gain_grid(
     ratio = SPEED_OF_LIGHT / (2.0 * b * f)
     k0 = 2.0 * np.pi * f / SPEED_OF_LIGHT
     beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
-    z = (beta - k0 * np.cos(angles)) * (config.slit_length_L / 2.0)
-    gain = _sinc(z)
+    w = beta - k0 * np.cos(angles)
+    slits = config.slit_length_L
+    z = w * (slits / 2.0)
+    sines = None
+    if np.ndim(slits):  # a (J, 1, 1) column
+        sines = _slit_sines(z, w, even_spacing(np.ravel(slits), "the slit lengths"))
+    gain = _sinc(z, sines)
     if not valid.all():
         np.copyto(gain, 0.0, where=~valid)
     return gain

@@ -15,7 +15,9 @@ MIMO rate from a full SVD of every subband matrix, the MIMO spectrum of an
 explicit array scaled to a largest |entry| of 1 by a pass over the entries,
 with each subband scaled by its own largest part, the unit-peak MIMO tensor
 from one broadcast expression, and the diffraction gain grid
-evaluated in complex arithmetic throughout.
+evaluated in complex arithmetic throughout. It also states, per slit row,
+how far physics.py's recurrence may take the gain and ||h_n||^2 from the
+direct evaluation, by the bound physics.py derives.
 """
 
 import math
@@ -29,9 +31,50 @@ import numpy as np
 from lwacomm.channel import average_sum_rate, build_channel
 from lwacomm.mimo import MimoSpectrum
 from lwacomm.optimizer import waterfill
-from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig, diffraction_gain_grid
+from lwacomm.physics import (
+    SLIT_ANCHOR_STRIDE,
+    SPACING_TOL,
+    SPEED_OF_LIGHT,
+    LwaConfig,
+    diffraction_gain_grid,
+)
 
 C_MPF = mp.mpf(299792458)
+EPS = np.finfo(float).eps
+
+
+def slit_gain_bound(slits) -> np.ndarray:
+    """Per row of an evenly spaced slit column, how far the recurrence's gain
+    may lie from the direct evaluation: (2 SPACING_TOL + 8 + 5 m) (L_max /
+    L_j) eps, m = j mod SLIT_ANCHOR_STRIDE, and 0 on the anchor rows, which
+    equal it bitwise."""
+    slits = np.ravel(slits)
+    m = np.arange(slits.size) % SLIT_ANCHOR_STRIDE
+    bound = (2 * SPACING_TOL + 8 + 5 * m) * (np.abs(slits).max() / slits) * EPS
+    return np.where(m == 0, 0.0, bound)
+
+
+def slit_gains_squared_bound(slits, gammas) -> np.ndarray:
+    """Per slit row, how far ||h_n||^2 = sum_k (G_k Gamma_k)^2 from the
+    recurrence may lie from the direct one: (2 R + K + 3) eps sum_k
+    Gamma_k^2 for a gain bound R eps, and 0 on the anchor rows."""
+    gain = slit_gain_bound(slits)
+    gammas = np.asarray(gammas, dtype=float)
+    bound = (2 * gain + (gammas.size + 3) * EPS) * np.sum(gammas ** 2)
+    return np.where(gain == 0.0, 0.0, bound)
+
+
+def assert_rows_within(got, want, bound, axis=-3) -> None:
+    """|got - want| <= bound[j] along the slit axis: bitwise where the bound
+    is 0."""
+    got, want = np.moveaxis(got, axis, 0), np.moveaxis(want, axis, 0)
+    assert got.shape == want.shape
+    bound = np.reshape(bound, (-1,) + (1,) * (got.ndim - 1))
+    excess = np.abs(got - want) - bound
+    assert np.all(excess <= 0.0), (
+        f"rows {np.flatnonzero((excess > 0).any(axis=tuple(range(1, got.ndim))))} "
+        f"exceed their bound by up to {excess.max():.3g}"
+    )
 
 
 def hp_emission_angle(b_m: str, freq_hz: str) -> float:

@@ -37,11 +37,13 @@ from lwacomm.optimizer import AllGainsZero, waterfill
 from lwacomm.physics import LwaConfig, diffraction_gain_grid
 
 from oracles import (
+    EPS,
     channel_gains_squared,
     hp_emission_angle,
     reference_mimo_spectrum,
     replay_alternating,
     simplex_grid_best_rate,
+    slit_gains_squared_bound,
 )
 
 LOSS = InverseRangeLoss()
@@ -195,6 +197,69 @@ def replay_scenarios(draw):
     )
 
 
+def _rate_bound(powers, gains2_bound, sigma2, num_subbands):
+    """How far the mean rate of these powers may move when every ||h_n||^2
+    moves by at most gains2_bound: d log2(1 + P g / sigma^2) / dg is at most
+    P / (sigma^2 ln 2)."""
+    return math.fsum(powers) / sigma2 * gains2_bound / num_subbands / math.log(2.0)
+
+
+def _power_bound(powers, gains2, gains2_bound, sigma2):
+    """How far waterfilled powers may move when every ||h_n||^2 moves by at
+    most gains2_bound (0: not at all). Each floor sigma^2 / g moves by at
+    most sigma^2 bound / (g (g - bound)), the water level by at most the
+    largest move of a floor that takes power, and each power by both; and
+    waterfilling's own rounding, (N + 2) eps times the level, may fall
+    otherwise on either side."""
+    if gains2_bound == 0.0:
+        return 0.0
+    g = gains2[powers > 0]
+    with np.errstate(divide="ignore"):
+        moved = np.where(g > gains2_bound, sigma2 * gains2_bound / (g * (g - gains2_bound)), np.inf)
+    level = np.max(powers[powers > 0] + sigma2 / g)
+    return 2.0 * moved.max() + 2.0 * (powers.size + 2) * EPS * level
+
+
+def _row_bound(grids, users, L):
+    """The recurrence's bound on ||h_n||^2 for slit length L: the largest of
+    the rows that hold it, since a repeated grid value is held by an anchor
+    row and by recurrence rows."""
+    bound = slit_gains_squared_bound(grids.L_grid, LOSS.evaluate(users.ranges_m))
+    return float(bound[grids.L_grid == L].max())
+
+
+def _assert_near_tie(cfg, users, grids, trace, got):
+    """The package chose geometry got where the replay chose trace[-1], with
+    the same choices before. Under the replay's powers of that step, the
+    oracle's rates of both choices must lie within the recurrence's bound:
+    each rate by its slit row's bound on ||h_n||^2, by the powers' bound
+    when the step before chose a recurrence row, and the geometry step's
+    near-tie ranking by (N + 8) eps."""
+    grid, noise = cfg.frequency_grid(), cfg.noise()
+
+    def gains2(geometry):
+        return channel_gains_squared(build_channel(LwaConfig(*geometry), grid, users, LOSS))
+
+    powers = np.full(grid.num_subbands, cfg.power_budget / grid.num_subbands)
+    powers_bound = 0.0
+    if len(trace) > 1:
+        before = gains2(trace[-2])
+        powers = waterfill(before, cfg.power_budget, noise).powers
+        powers_bound = _power_bound(
+            powers, before, _row_bound(grids, users, trace[-2][1]), noise.variance_sigma2
+        )
+    allowance = 0.0
+    rates = []
+    for geometry in (got, trace[-1]):
+        g = gains2(geometry)
+        rates.append(average_sum_rate(build_channel(LwaConfig(*geometry), grid, users, LOSS), powers, noise))
+        allowance += _rate_bound(powers, _row_bound(grids, users, geometry[1]),
+                                 noise.variance_sigma2, grid.num_subbands)
+        allowance += powers_bound * math.fsum(g) / noise.variance_sigma2 / grid.num_subbands / math.log(2.0)
+    assert got[0] in grids.b_grid and got[1] in grids.L_grid
+    assert 0.0 <= rates[1] - rates[0] <= allowance + 2 * (grid.num_subbands + 8) * EPS * rates[1]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 @given(replay_scenarios())
 # two slit lengths 1 ulp apart whose summed log1p keys and rate_bits rank
@@ -205,9 +270,55 @@ def replay_scenarios(draw):
     b_grid_points=4, slit_grid_points=2, power_budget=1.0, noise_variance=1.0,
     max_iterations=1, seed=0,
 ))
+# slit rows 1, 1 and 2 chosen (recurrence rows), where the powers differ from
+# the replay's in their last bits
+@example(ScenarioConfig(
+    num_subbands=20, num_users=5, power_budget=917318.0843501552,
+    noise_variance=0.005144025754174828, b_min_m=0.0005107086390767021,
+    b_max_m=0.0005322809263687796, slit_min_m=0.07484888963745594,
+    slit_max_m=0.08262373225124177, b_grid_points=3, slit_grid_points=4,
+    max_iterations=2, seed=2692721150,
+))
+@example(ScenarioConfig(
+    num_subbands=16, num_users=7, power_budget=61803816.82099667,
+    noise_variance=4.339180524660211, b_min_m=0.0005520230339477383,
+    b_max_m=0.0006463408187978706, slit_min_m=0.0677412858787887,
+    slit_max_m=0.07266735848036737, b_grid_points=4, slit_grid_points=3,
+    max_iterations=5, seed=3648070507,
+))
+@example(ScenarioConfig(
+    num_subbands=22, num_users=5, power_budget=5126749.2662777705,
+    noise_variance=0.26552496187685076, b_min_m=0.00033016280921679503,
+    b_max_m=0.0008481182664476954, slit_min_m=0.09046539409913619,
+    slit_max_m=0.09580801783396672, b_grid_points=3, slit_grid_points=3,
+    max_iterations=4, seed=87941441,
+))
+# slit lengths two ulps apart: the package and the replay choose different
+# slit rows at a near tie, both of whose rates lie within the bound
+@example(ScenarioConfig(
+    num_subbands=21, num_users=6, power_budget=0.015624710536507604,
+    noise_variance=0.28290327015305267, b_min_m=0.00034755166917356794,
+    b_max_m=0.0010928755656785763, slit_min_m=0.02990588298279725,
+    slit_max_m=0.02990588298279726, b_grid_points=2, slit_grid_points=3,
+    max_iterations=6, seed=4001079887,
+))
+# four slit rows over one ulp repeat two values: the package takes two rows
+# of one value in turn, so its run stops otherwise than the replay's
+@example(ScenarioConfig(
+    num_subbands=17, num_users=19, power_budget=0.3423174790956192,
+    noise_variance=0.009717966455285283, b_min_m=0.00017803222146898088,
+    b_max_m=0.0014834155901371495, slit_min_m=0.01586099371932927,
+    slit_max_m=0.015860993719329274, b_grid_points=3, slit_grid_points=4,
+    max_iterations=3, seed=1254597555,
+))
 def test_criterion_5_replay_on_random_scenarios(cfg):
     # The package and the replay's channel_gains_squared both add the users of
-    # ||h_n||^2 in order, so the powers agree bitwise for every K.
+    # ||h_n||^2 in order. The replay builds each channel with the direct sin
+    # and the package its gains array by the slit recurrence, so the powers
+    # agree bitwise for every K when the chosen slit row is an anchor, and
+    # within the recurrence's bound when it is not. Where a near tie lets the
+    # two choose different geometries, the oracle's rates of both choices
+    # must lie within that bound, and the runs are not compared past it.
     users = sample_users(cfg, 0)
     grids = cfg.search_grids()
     grid = cfg.frequency_grid()
@@ -225,9 +336,24 @@ def test_criterion_5_replay_on_random_scenarios(cfg):
         grids.b_grid, grids.L_grid, cfg.power_budget, grid, users, LOSS, noise,
         cfg.max_iterations,
     )
-    assert [(r.b_m, r.L_m) for r in result.trace] == list(replay.trace)
-    assert result.stop_reason == ("fixed_point" if replay.fixed_point else "i_max")
-    assert np.array_equal(result.powers.powers, replay.powers)
+    trace = [(r.b_m, r.L_m) for r in result.trace]
+    for t, (got, want) in enumerate(zip(trace, replay.trace)):
+        if got != want:
+            _assert_near_tie(cfg, users, grids, replay.trace[:t + 1], got)
+            return
+    if (len(trace), result.stop_reason) != (
+        len(replay.trace), "fixed_point" if replay.fixed_point else "i_max"
+    ):
+        # Equal traces that stop otherwise took two rows of one repeated slit
+        # length in turn (linspace over a few ulps repeats values): the
+        # replay's channels of both are one channel, with one rate, and the
+        # fixed point is a repeated row, not a repeated value.
+        assert np.unique(grids.L_grid).size < grids.L_grid.size
+        return
+    chosen = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
+    bound = _power_bound(replay.powers, channel_gains_squared(chosen),
+                         _row_bound(grids, users, result.chosen_L), noise.variance_sigma2)
+    assert np.all(np.abs(result.powers.powers - replay.powers) <= bound)
 
 
 def test_criterion_6_beampattern_qualitative():

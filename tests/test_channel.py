@@ -24,10 +24,12 @@ from lwacomm.experiments import export_beampattern_csv
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT, diffraction_gain_grid
 
 from oracles import (
+    assert_rows_within,
     hp_average_sum_rate,
     hp_emission_angle,
     reference_beampattern,
     reference_export_beampattern_csv,
+    slit_gains_squared_bound,
 )
 
 LOSS = InverseRangeLoss()
@@ -111,17 +113,22 @@ class TestBuildChannel:
         b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
         gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
         assert gains2.shape == (7, 3, 12)
-        self._assert_per_point_equal(gains2, b_grid, L_grid, grid, users)
+        self._assert_per_point_match(gains2, b_grid, L_grid, grid, users)
         assert np.all(gains2[0] == 0.0) and np.all(gains2[-1] > 0.0)
 
     @staticmethod
-    def _assert_per_point_equal(gains2, b_grid, L_grid, grid, users):
+    def _assert_per_point_match(gains2, b_grid, L_grid, grid, users):
+        # the slit grid's anchor row bitwise, its recurrence rows within
+        # the bound physics.py derives
+        bound = slit_gains_squared_bound(L_grid, LOSS.evaluate(users.ranges_m))
+        assert bound[0] == 0.0 and np.all(bound[1:] > 0.0)
         for i, b in enumerate(b_grid):
-            for j, L in enumerate(L_grid):
-                point = build_channel(LwaConfig(b, L), grid, users, LOSS)
-                assert np.array_equal(gains2[i, j], norms_in_user_order(point)), (b, L)
-                if users.num_users < 8:  # numpy's sum adds these in order too
-                    assert np.array_equal(gains2[i, j], np.sum(np.abs(point) ** 2, axis=1))
+            points = [build_channel(LwaConfig(b, L), grid, users, LOSS) for L in L_grid]
+            want = np.stack([norms_in_user_order(point) for point in points])
+            assert_rows_within(gains2[i], want, bound, axis=0)
+            if users.num_users < 8:  # numpy's sum adds these in order too
+                summed = np.stack([np.sum(np.abs(point) ** 2, axis=1) for point in points])
+                assert_rows_within(gains2[i], summed, bound, axis=0)
 
     # a block limit below one b row gives seven one-row blocks; one just
     # above three rows gives blocks of 3, 3 and 1. Each block makes one
@@ -149,7 +156,7 @@ class TestBuildChannel:
         sizes = [min(rows, len(b_grid) - start) for start in range(0, len(b_grid), rows)]
         assert len(sizes) == blocks
         assert calls == [(size, angle) for size in sizes for angle in users.angles_rad]
-        self._assert_per_point_equal(gains2, b_grid, L_grid, grid, users)
+        self._assert_per_point_match(gains2, b_grid, L_grid, grid, users)
 
     @pytest.mark.parametrize("b_grid, L_grid", [([], [10e-3]), ([1e-3], [])])
     def test_geometry_gains_squared_rejects_empty_grids(self, b_grid, L_grid):

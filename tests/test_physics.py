@@ -16,7 +16,14 @@ from lwacomm.channel import (
 from lwacomm.optimizer import AllGainsZero, waterfill
 from lwacomm.physics import SPEED_OF_LIGHT, LwaConfig, diffraction_gain_grid
 
-from oracles import hp_diffraction_gain, hp_emission_angle, reference_diffraction_gain_grid
+from oracles import (
+    EPS,
+    assert_rows_within,
+    hp_diffraction_gain,
+    hp_emission_angle,
+    reference_diffraction_gain_grid,
+    slit_gain_bound,
+)
 
 B1MM = LwaConfig(plate_separation_b=1e-3, slit_length_L=10e-3)
 
@@ -148,7 +155,7 @@ class TestCutoffContract:
     """diffraction_gain_grid owns the cutoff: zero gain below c/(2b)."""
 
     def test_slit_column_matches_oracle(self):
-        slits = ["10e-3", "20e-3", "35e-3"]
+        slits = ["10e-3", "20e-3", "30e-3"]
         freqs = ["250e9", "420e9", "610e9"]
         angles = np.array([0.2, 0.7, 1.2, math.pi / 2])
         column = np.array([float(L) for L in slits])[:, None, None]
@@ -200,7 +207,7 @@ def _slit_column(*slits):
 
 REFERENCE_CASES = {
     "lossless": (B1MM, ANGLES, BAND),
-    "slit-column": (LwaConfig(1e-3, _slit_column(10e-3, 23e-3, 50e-3)), ANGLES, BAND),
+    "slit-column": (LwaConfig(1e-3, _slit_column(10e-3, 30e-3, 50e-3)), ANGLES, BAND),
     "sub-cutoff": (
         LwaConfig(1e-3, _slit_column(10e-3, 40e-3)),
         ANGLES,
@@ -219,26 +226,36 @@ REFERENCE_CASES = {
 }
 
 
+def assert_matches_reference(got, config, angles, freqs):
+    """got equals the complex reference bitwise for a scalar slit length; for
+    a slit column, on its anchor rows bitwise and on the others within the
+    recurrence's bound."""
+    want = reference_diffraction_gain_grid(config, angles, freqs)
+    assert got.dtype == np.float64
+    assert np.all(want.imag == 0.0)
+    assert got.shape == want.shape
+    if np.ndim(config.slit_length_L):
+        assert_rows_within(got, want.real, slit_gain_bound(config.slit_length_L))
+    else:
+        assert np.array_equal(got, want)
+
+
 class TestRealGain:
     """The gain is evaluated in float64 and equals, bitwise, the same grid
-    evaluated in complex arithmetic."""
+    evaluated in complex arithmetic, but on a slit column's recurrence rows,
+    which lie within the bound physics.py derives."""
 
     @pytest.mark.parametrize("name", list(REFERENCE_CASES))
     def test_matches_complex_reference_bitwise(self, name):
         config, angles, freqs = REFERENCE_CASES[name]
-        got = diffraction_gain_grid(config, angles, freqs)
-        want = reference_diffraction_gain_grid(config, angles, freqs)
-        assert got.dtype == np.float64
-        assert np.all(want.imag == 0.0)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+        assert_matches_reference(diffraction_gain_grid(config, angles, freqs), config, angles, freqs)
 
     @pytest.mark.parametrize("name", ["series"])
     def test_series_cases_reach_the_series_branch(self, name, monkeypatch):
         smallest = []
         sinc = physics._sinc
         monkeypatch.setattr(
-            physics, "_sinc", lambda z: smallest.append(np.abs(z).min()) or sinc(z)
+            physics, "_sinc", lambda z, *sines: smallest.append(np.abs(z).min()) or sinc(z, *sines)
         )
         config, angles, freqs = REFERENCE_CASES[name]
         diffraction_gain_grid(config, angles, freqs)
@@ -247,13 +264,138 @@ class TestRealGain:
     def test_random_geometries_match_complex_reference(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            slits = _slit_column(*rng.uniform(5e-3, 60e-3, 5))
+            slits = _slit_column(*np.linspace(*np.sort(rng.uniform(5e-3, 60e-3, 2)), 5))
             config = LwaConfig(rng.uniform(0.2e-3, 2e-3), slits)
             freqs = np.sort(rng.uniform(150e9, 800e9, 30))
             angles = rng.uniform(0.0, math.pi / 2, 20)
             got = diffraction_gain_grid(config, angles, freqs)
-            assert got.dtype == np.float64
-            assert np.array_equal(got, reference_diffraction_gain_grid(config, angles, freqs))
+            assert_matches_reference(got, config, angles, freqs)
+
+
+class _CountingNumpy:
+    """numpy with its exp and sin counted: the rows each call evaluates, a row
+    being `row_size` entries."""
+
+    def __init__(self, row_size):
+        self.row_size = row_size
+        self.rows = {"exp": 0, "sin": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _count(self, name, x, *args, **kwargs):
+        assert np.size(x) % self.row_size == 0
+        self.rows[name] += np.size(x) // self.row_size
+        return getattr(np, name)(x, *args, **kwargs)
+
+    def exp(self, x, *args, **kwargs):
+        return self._count("exp", x, *args, **kwargs)
+
+    def sin(self, x, *args, **kwargs):
+        return self._count("sin", x, *args, **kwargs)
+
+
+class TestSlitRecurrence:
+    """Along a slit column sin comes from the phasor recurrence: one exact
+    exp row per anchor and one for the step, and no sin. Anchor rows equal
+    the direct evaluation bitwise, the others lie within the bound that
+    physics.py derives, and with the argument's own rounding within the
+    50-digit oracle."""
+
+    @pytest.mark.parametrize("num_slits", [1, 2, 21, 32, 33, 40, 65])
+    @pytest.mark.parametrize("b", [1e-3, np.array([0.3e-3, 1e-3])[:, None, None]])
+    def test_takes_one_exp_row_per_anchor(self, num_slits, b, monkeypatch):
+        slits = _slit_column(*np.linspace(10e-3, 50e-3, num_slits))
+        spy = _CountingNumpy(np.size(b) * BAND.size * 3)
+        monkeypatch.setattr(physics, "np", spy)
+        got = diffraction_gain_grid(LwaConfig(b, slits), ANGLES[:3], BAND)
+        anchors = math.ceil(num_slits / physics.SLIT_ANCHOR_STRIDE)
+        assert spy.rows == {"exp": anchors + (num_slits > 1), "sin": 0}
+        monkeypatch.undo()
+        assert_matches_reference(got.reshape(-1, num_slits, BAND.size, 3)[-1],
+                                 LwaConfig(1e-3, slits), ANGLES[:3], BAND)
+
+    def test_scalar_slit_takes_the_direct_sin(self, monkeypatch):
+        spy = _CountingNumpy(BAND.size * ANGLES.size)
+        monkeypatch.setattr(physics, "np", spy)
+        diffraction_gain_grid(B1MM, ANGLES, BAND)
+        assert spy.rows == {"exp": 0, "sin": 1}
+
+    def test_anchor_rows_equal_the_reference_bitwise(self):
+        slits = np.linspace(10e-3, 50e-3, 2 * physics.SLIT_ANCHOR_STRIDE + 5)
+        angles = np.concatenate([ANGLES, _peak_angles(B1MM, [300e9, 610e9])])
+        got = diffraction_gain_grid(LwaConfig(1e-3, _slit_column(*slits)), angles, BAND)
+        for j in range(0, slits.size, physics.SLIT_ANCHOR_STRIDE):
+            want = reference_diffraction_gain_grid(LwaConfig(1e-3, slits[j]), angles, BAND)
+            assert np.array_equal(got[j], want), j
+        # the recurrence rows are not the direct sin: the spy is not vacuous
+        direct = reference_diffraction_gain_grid(LwaConfig(1e-3, slits[-1]), angles, BAND)
+        assert not np.array_equal(got[-1], direct)
+
+    def test_forty_slits_match_oracle_within_bound(self):
+        # two anchors (rows 0 and 32) over the default band; b = 0.3 mm cuts
+        # off at ~500 GHz, so its lower subbands are exactly 0; the 1 mm
+        # emission angles put entries in and just above the series branch
+        slits = np.linspace(10e-3, 50e-3, 40)
+        freqs = FrequencyGrid.subband_centers(200e9, 800e9, 40).frequencies
+        b = np.array([1e-3, 0.3e-3])
+        offsets = (0.0, 1e-9, 1e-7, 1e-5)  # |z| below, at and above the cutoff
+        angles = np.concatenate([[0.3, 1.2], _peak_angles(B1MM, freqs[1:2], offsets)])
+        got = diffraction_gain_grid(LwaConfig(b[:, None, None], _slit_column(*slits)), angles, freqs)
+        valid = np.broadcast_to((freqs >= SPEED_OF_LIGHT / (2.0 * b[:, None]))[:, None], (2, 40, 40))
+        assert np.count_nonzero(~valid[:, 0]) == 20
+        assert np.all(got[~valid] == 0.0)
+        assert np.all(np.abs(got[0, :, 1, 2:4] - 1.0) < 1e-12)  # the series
+        gain_bound = slit_gain_bound(slits)
+        worst = 0.0
+        for i, j, n in zip(*np.nonzero(valid)):
+            if n != 1 and (j + n) % 3:
+                continue  # the peak subband and a third of the others: the oracle is slow
+            k0 = 2.0 * math.pi * freqs[n] / SPEED_OF_LIGHT
+            s = math.sqrt(1.0 - (SPEED_OF_LIGHT / (2.0 * b[i] * freqs[n])) ** 2)
+            # the argument's rounding (Z (2.5 / s + 7.35) eps, times the
+            # largest |sinc'|), the direct sinc's 2 eps, and the recurrence
+            argument = 0.44 * (k0 * slits[j] / 2.0) * (2.5 / s + 7.35) * EPS
+            bound = argument + 2 * EPS + gain_bound[j]
+            for k, angle in enumerate(angles):
+                want = hp_diffraction_gain(
+                    repr(float(b[i])), repr(float(slits[j])), repr(float(freqs[n])), angle
+                ).real
+                assert abs(got[i, j, n, k] - want) <= bound, (i, j, n, k)
+                worst = max(worst, abs(got[i, j, n, k] - want) / bound)
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("slits", [[20e-3], [10e-3, 40e-3], [30e-3] * 5])
+    def test_short_and_constant_columns(self, slits):
+        # J = 1 is one anchor; J = 2 one anchor and one step; equal slit
+        # lengths (slit_min_m == slit_max_m) step by exactly 1, so every row
+        # is its anchor's
+        config = LwaConfig(1e-3, _slit_column(*slits))
+        angles = np.concatenate([ANGLES, _peak_angles(B1MM, [300e9])])
+        got = diffraction_gain_grid(config, angles, BAND)
+        assert_matches_reference(got, config, angles, BAND)
+        if len(set(slits)) == 1:
+            want = reference_diffraction_gain_grid(LwaConfig(1e-3, slits[0]), angles, BAND)
+            assert all(np.array_equal(row, want) for row in got)
+
+    @pytest.mark.parametrize(
+        "slits",
+        [
+            [10e-3, 23e-3, 50e-3],
+            [10e-3, 20e-3, 35e-3],
+            np.random.default_rng(8).uniform(5e-3, 60e-3, 5),
+            # one slit 5 eps * L_max off the line: past SPACING_TOL = 4
+            [10e-3, 20e-3 + 5 * EPS * 30e-3, 30e-3],
+        ],
+    )
+    def test_uneven_slit_column_raises(self, slits):
+        with pytest.raises(ValueError, match="the slit lengths must be evenly spaced"):
+            diffraction_gain_grid(LwaConfig(1e-3, _slit_column(*slits)), ANGLES, BAND)
+
+    def test_spacing_within_tolerance_passes(self):
+        slits = [10e-3, 20e-3 + 3 * EPS * 30e-3, 30e-3]
+        config = LwaConfig(1e-3, _slit_column(*slits))
+        assert diffraction_gain_grid(config, ANGLES, BAND).shape == (3, BAND.size, ANGLES.size)
 
 
 class TestPlateSeparationAxis:
@@ -267,7 +409,7 @@ class TestPlateSeparationAxis:
     # angles at the 1 mm emission angles reach the series branch
     ANGLES = np.concatenate([ANGLES, _peak_angles(B1MM, [300e9, 610e9])])
 
-    @pytest.mark.parametrize("slits", [10e-3, _slit_column(10e-3, 23e-3, 50e-3)])
+    @pytest.mark.parametrize("slits", [10e-3, _slit_column(10e-3, 30e-3, 50e-3)])
     def test_b_column_equals_per_b_grids(self, slits):
         got = diffraction_gain_grid(LwaConfig(self.B_COLUMN, slits), self.ANGLES, self.FREQS)
         configs = [LwaConfig(b, slits) for b in self.B_COLUMN.ravel()]
@@ -278,7 +420,11 @@ class TestPlateSeparationAxis:
         assert got.shape == (4, np.size(slits), 6, len(self.ANGLES))
         assert got.dtype == per_b.dtype == np.float64
         assert np.array_equal(got, per_b.reshape(got.shape))
-        assert np.array_equal(got, reference.reshape(got.shape))
+        reference = reference.reshape(got.shape).real
+        if np.ndim(slits):
+            assert_rows_within(got, reference, slit_gain_bound(slits))
+        else:
+            assert np.array_equal(got, reference)
         assert np.all(got[0, :, 3:5] != 0.0) and np.all(got[0, :, :3] == 0.0)
 
     def test_inputs_are_not_written(self):
