@@ -12,8 +12,8 @@ plain class that checks its fields when it is built.
 Along an evenly spaced slit column the sinc argument z_j = w L_j / 2, with
 w = beta - k0 cos(phi), is linear in j. So sin(z_j) is the imaginary part of
 a phasor that advances by one complex multiply per row, with an exact anchor
-exp(i z_j) every SLIT_ANCHOR_STRIDE rows; an anchor's imaginary part is
-sin(z_j) bitwise. For row j, m = j mod SLIT_ANCHOR_STRIDE steps past its
+cos(z_j) + i sin(z_j) every SLIT_ANCHOR_STRIDE rows, whose imaginary part is
+the direct sin(z_j) itself. For row j, m = j mod SLIT_ANCHOR_STRIDE steps past its
 anchor a, against sin(z_j) / z_j on the same bits of z_j:
 
     |G_j - sin(z_j) / z_j| <= (2 SPACING_TOL + 8 + 5 m) (L_max / L_j) eps
@@ -55,8 +55,8 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 # Below this magnitude sin(z)/z is evaluated by series to avoid cancellation
 # at the beam peak, where the argument crosses zero.
 _SINC_SERIES_CUTOFF = 1e-6
-# Slit rows from one exact anchor exp(i z) to the next: the default 21-slit
-# grid takes a single anchor.
+# Slit rows from one exact anchor cos(z) + i sin(z) to the next: the default
+# 21-slit grid takes a single anchor.
 SLIT_ANCHOR_STRIDE = 32
 # How far, in eps * max|v|, a value of an evenly spaced column (slit lengths,
 # subband centers) may lie off the line through its first and last: linspace
@@ -104,25 +104,32 @@ def even_spacing(values: np.ndarray, what: str) -> float:
     return step
 
 
+def _phasor(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(i x) of real x as cos(x) + i sin(x), written into the complex out:
+    its imaginary part is np.sin(x) itself. The two real ufuncs take about
+    three quarters of the time of the complex exp."""
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
+
+
 def _slit_sines(z: np.ndarray, w: np.ndarray, spacing: float) -> np.ndarray:
     """sin(z) of z = w * (L_j / 2) over an evenly spaced slit axis (axis -3),
     by the phasor recurrence: row j is row j - 1 times exp(i w spacing / 2),
     and each row j = 0 (mod SLIT_ANCHOR_STRIDE) is the anchor exp(i z_j),
-    whose imaginary part is sin(z_j) bitwise. Only the current row and the
+    whose imaginary part is np.sin(z_j). Only the current row and the
     step are held as complex arrays; each row's imaginary part goes straight
     into the result."""
     sines = np.empty(z.shape)
     z_rows, sine_rows = np.moveaxis(z, -3, 0), np.moveaxis(sines, -3, 0)
     row = np.empty(z_rows.shape[1:], dtype=complex)
     if len(z_rows) > 1:
-        step = np.multiply(1j, np.reshape(w * (spacing / 2.0), row.shape))
-        np.exp(step, out=step)
+        step = _phasor(np.reshape(w * (spacing / 2.0), row.shape), np.empty_like(row))
     for j, z_row in enumerate(z_rows):
         if j % SLIT_ANCHOR_STRIDE:
             row *= step
         else:
-            np.multiply(1j, z_row, out=row)
-            np.exp(row, out=row)
+            _phasor(z_row, row)
         sine_rows[j] = row.imag
     return sines
 

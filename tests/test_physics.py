@@ -273,19 +273,16 @@ class TestRealGain:
 
 
 class _CountingNumpy:
-    """numpy with its exp and sin counted: the rows each call evaluates, a row
-    being `row_size` entries."""
+    """numpy with the entries its exp, sin and cos evaluate counted."""
 
-    def __init__(self, row_size):
-        self.row_size = row_size
-        self.rows = {"exp": 0, "sin": 0}
+    def __init__(self):
+        self.entries = {"exp": 0, "sin": 0, "cos": 0}
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def _count(self, name, x, *args, **kwargs):
-        assert np.size(x) % self.row_size == 0
-        self.rows[name] += np.size(x) // self.row_size
+        self.entries[name] += np.size(x)
         return getattr(np, name)(x, *args, **kwargs)
 
     def exp(self, x, *args, **kwargs):
@@ -294,32 +291,38 @@ class _CountingNumpy:
     def sin(self, x, *args, **kwargs):
         return self._count("sin", x, *args, **kwargs)
 
+    def cos(self, x, *args, **kwargs):
+        return self._count("cos", x, *args, **kwargs)
+
 
 class TestSlitRecurrence:
     """Along a slit column sin comes from the phasor recurrence: one exact
-    exp row per anchor and one for the step, and no sin. Anchor rows equal
-    the direct evaluation bitwise, the others lie within the bound that
-    physics.py derives, and with the argument's own rounding within the
-    50-digit oracle."""
+    sin and cos row per anchor and one for the step, where the direct
+    evaluation takes sin of every row. Anchor rows equal the direct
+    evaluation bitwise, the others lie within the bound that physics.py
+    derives, and with the argument's own rounding within the 50-digit
+    oracle."""
 
     @pytest.mark.parametrize("num_slits", [1, 2, 21, 32, 33, 40, 65])
     @pytest.mark.parametrize("b", [1e-3, np.array([0.3e-3, 1e-3])[:, None, None]])
-    def test_takes_one_exp_row_per_anchor(self, num_slits, b, monkeypatch):
+    def test_takes_one_sin_row_per_anchor(self, num_slits, b, monkeypatch):
         slits = _slit_column(*np.linspace(10e-3, 50e-3, num_slits))
-        spy = _CountingNumpy(np.size(b) * BAND.size * 3)
+        spy = _CountingNumpy()
         monkeypatch.setattr(physics, "np", spy)
         got = diffraction_gain_grid(LwaConfig(b, slits), ANGLES[:3], BAND)
-        anchors = math.ceil(num_slits / physics.SLIT_ANCHOR_STRIDE)
-        assert spy.rows == {"exp": anchors + (num_slits > 1), "sin": 0}
+        rows = math.ceil(num_slits / physics.SLIT_ANCHOR_STRIDE) + (num_slits > 1)
+        row = np.size(b) * BAND.size * 3
+        # the cos of the 3 angles, as the direct evaluation takes it
+        assert spy.entries == {"exp": 0, "sin": rows * row, "cos": rows * row + 3}
         monkeypatch.undo()
         assert_matches_reference(got.reshape(-1, num_slits, BAND.size, 3)[-1],
                                  LwaConfig(1e-3, slits), ANGLES[:3], BAND)
 
     def test_scalar_slit_takes_the_direct_sin(self, monkeypatch):
-        spy = _CountingNumpy(BAND.size * ANGLES.size)
+        spy = _CountingNumpy()
         monkeypatch.setattr(physics, "np", spy)
         diffraction_gain_grid(B1MM, ANGLES, BAND)
-        assert spy.rows == {"exp": 0, "sin": 1}
+        assert spy.entries == {"exp": 0, "sin": BAND.size * ANGLES.size, "cos": ANGLES.size}
 
     def test_anchor_rows_equal_the_reference_bitwise(self):
         slits = np.linspace(10e-3, 50e-3, 2 * physics.SLIT_ANCHOR_STRIDE + 5)
