@@ -215,7 +215,9 @@ def _power_bound(powers, gains2, gains2_bound, sigma2):
         return 0.0
     g = gains2[powers > 0]
     with np.errstate(divide="ignore"):
-        moved = np.where(g > gains2_bound, sigma2 * gains2_bound / (g * (g - gains2_bound)), np.inf)
+        moved = np.where(
+            g > gains2_bound, sigma2 * gains2_bound / (g * (g - gains2_bound)), np.inf
+        )
     level = np.max(powers[powers > 0] + sigma2 / g)
     return 2.0 * moved.max() + 2.0 * (powers.size + 2) * EPS * level
 
@@ -234,30 +236,29 @@ def _assert_near_tie(cfg, users, grids, trace, got):
     oracle's rates of both choices must lie within the recurrence's bound:
     each rate by its slit row's bound on ||h_n||^2, by the powers' bound
     when the step before chose a recurrence row, and the geometry step's
-    near-tie ranking by (N + 8) eps."""
+    near-tie ranking by 2 (N + 8) eps."""
     grid, noise = cfg.frequency_grid(), cfg.noise()
+    sigma2, n = noise.variance_sigma2, grid.num_subbands
 
-    def gains2(geometry):
-        return channel_gains_squared(build_channel(LwaConfig(*geometry), grid, users, LOSS))
+    def channel(geometry):
+        return build_channel(LwaConfig(*geometry), grid, users, LOSS)
 
-    powers = np.full(grid.num_subbands, cfg.power_budget / grid.num_subbands)
+    powers = np.full(n, cfg.power_budget / n)
     powers_bound = 0.0
     if len(trace) > 1:
-        before = gains2(trace[-2])
+        before = channel_gains_squared(channel(trace[-2]))
         powers = waterfill(before, cfg.power_budget, noise).powers
-        powers_bound = _power_bound(
-            powers, before, _row_bound(grids, users, trace[-2][1]), noise.variance_sigma2
-        )
+        powers_bound = _power_bound(powers, before, _row_bound(grids, users, trace[-2][1]), sigma2)
     allowance = 0.0
     rates = []
     for geometry in (got, trace[-1]):
-        g = gains2(geometry)
-        rates.append(average_sum_rate(build_channel(LwaConfig(*geometry), grid, users, LOSS), powers, noise))
-        allowance += _rate_bound(powers, _row_bound(grids, users, geometry[1]),
-                                 noise.variance_sigma2, grid.num_subbands)
-        allowance += powers_bound * math.fsum(g) / noise.variance_sigma2 / grid.num_subbands / math.log(2.0)
+        h = channel(geometry)
+        rates.append(average_sum_rate(h, powers, noise))
+        allowance += _rate_bound(powers, _row_bound(grids, users, geometry[1]), sigma2, n)
+        gains2 = math.fsum(channel_gains_squared(h))
+        allowance += powers_bound * gains2 / sigma2 / n / math.log(2.0)
     assert got[0] in grids.b_grid and got[1] in grids.L_grid
-    assert 0.0 <= rates[1] - rates[0] <= allowance + 2 * (grid.num_subbands + 8) * EPS * rates[1]
+    assert 0.0 <= rates[1] - rates[0] <= allowance + 2 * (n + 8) * EPS * rates[1]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)

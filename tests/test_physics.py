@@ -248,7 +248,8 @@ class TestRealGain:
     @pytest.mark.parametrize("name", list(REFERENCE_CASES))
     def test_matches_complex_reference_bitwise(self, name):
         config, angles, freqs = REFERENCE_CASES[name]
-        assert_matches_reference(diffraction_gain_grid(config, angles, freqs), config, angles, freqs)
+        got = diffraction_gain_grid(config, angles, freqs)
+        assert_matches_reference(got, config, angles, freqs)
 
     @pytest.mark.parametrize("name", ["series"])
     def test_series_cases_reach_the_series_branch(self, name, monkeypatch):
@@ -344,8 +345,10 @@ class TestSlitRecurrence:
         b = np.array([1e-3, 0.3e-3])
         offsets = (0.0, 1e-9, 1e-7, 1e-5)  # |z| below, at and above the cutoff
         angles = np.concatenate([[0.3, 1.2], _peak_angles(B1MM, freqs[1:2], offsets)])
-        got = diffraction_gain_grid(LwaConfig(b[:, None, None], _slit_column(*slits)), angles, freqs)
-        valid = np.broadcast_to((freqs >= SPEED_OF_LIGHT / (2.0 * b[:, None]))[:, None], (2, 40, 40))
+        config = LwaConfig(b[:, None, None], _slit_column(*slits))
+        got = diffraction_gain_grid(config, angles, freqs)
+        above_cutoff = freqs >= SPEED_OF_LIGHT / (2.0 * b[:, None])
+        valid = np.broadcast_to(above_cutoff[:, None], (2, 40, 40))
         assert np.count_nonzero(~valid[:, 0]) == 20
         assert np.all(got[~valid] == 0.0)
         assert np.all(np.abs(got[0, :, 1, 2:4] - 1.0) < 1e-12)  # the series
