@@ -9,12 +9,14 @@ diffraction_gain_grid is the one way in: the optimizer, the beampattern and
 the MIMO normalization all read the gain from it. It is pure; LwaConfig is a
 plain class that checks its fields when it is built.
 
-Along an evenly spaced slit column the sinc argument z_j = w L_j / 2, with
-w = beta - k0 cos(phi), is linear in j. So sin(z_j) is the imaginary part of
-a phasor that advances by one complex multiply per row, with an exact anchor
-cos(z_j) + i sin(z_j) every SLIT_ANCHOR_STRIDE rows, whose imaginary part is
-the direct sin(z_j) itself. For row j, m = j mod SLIT_ANCHOR_STRIDE steps past its
-anchor a, against sin(z_j) / z_j on the same bits of z_j:
+A slit column must be evenly spaced: every L_j within SPACING_TOL eps
+max|L| of L_0 + j delta (even_spacing), or ValueError is raised. Along it the
+sinc argument z_j = w L_j / 2, with w = beta - k0 cos(phi), is linear in j.
+So sin(z_j) is the imaginary part of a phasor that advances by one complex
+multiply per row, with an exact anchor cos(z_j) + i sin(z_j) every
+SLIT_ANCHOR_STRIDE rows, whose imaginary part is the direct sin(z_j) itself.
+For row j, m = j mod SLIT_ANCHOR_STRIDE steps past its anchor a, against
+sin(z_j) / z_j on the same bits of z_j:
 
     |G_j - sin(z_j) / z_j| <= (2 SPACING_TOL + 8 + 5 m) (L_max / L_j) eps
 
