@@ -112,14 +112,18 @@ def geometry_gains_squared(
 ) -> np.ndarray:
     """||h_n||^2 for every geometry of the b x L search grid, shape (B, L, N).
 
-    L_grid must be evenly spaced, as linspace makes it (physics.even_spacing);
-    ValueError is raised otherwise. Entry [i, j] is the ||h_n||^2 that
-    average_sum_rate takes from the channel h = build_channel(LwaConfig(
-    b_grid[i], L_grid[j]), grid, users, loss): bitwise on the anchor rows j =
-    0 (mod SLIT_ANCHOR_STRIDE), and within the slit recurrence's bound of
-    physics.py elsewhere, (2 R_j + K + 3) eps sum_k Gamma_k^2 for its gain
-    bound R_j eps. Subbands below that geometry's cutoff are exactly zero.
-    Both add the users in order, k = 0, 1, ..., K-1. The b rows go in blocks of
+    The norms are evaluated once per distinct slit length, over the column
+    np.unique(L_grid) of those lengths in increasing order, so rows of L_grid
+    that repeat a length are equal. That column must be evenly spaced, as
+    linspace makes it (physics.even_spacing); ValueError is raised
+    otherwise. Entry [i, j] is the ||h_n||^2 that average_sum_rate takes
+    from the channel h = build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
+    users, loss): bitwise where L_grid[j] sits on an anchor row of that
+    column (its place 0 mod SLIT_ANCHOR_STRIDE), and within the slit
+    recurrence's bound of physics.py elsewhere, (2 R + K + 3) eps sum_k
+    Gamma_k^2 for the row's gain bound R eps. Subbands below that geometry's
+    cutoff are exactly zero. Both add the users in order, k = 0, 1, ...,
+    K-1. The b rows go in blocks of
     at most GAINS_BLOCK_ENTRIES entries per user (at least one row). In
     each block, one diffraction_gain_grid call per user gives its
     contiguous (rows, L, N) gains, which are scaled and squared in place
@@ -129,9 +133,11 @@ def geometry_gains_squared(
     Raises ValueError if either grid is empty.
     """
     b_grid = np.asarray(b_grid, dtype=float)
-    slits = np.asarray(L_grid, dtype=float)[:, None, None]
-    if b_grid.size == 0 or slits.size == 0:
+    L_grid = np.asarray(L_grid, dtype=float)
+    if b_grid.size == 0 or L_grid.size == 0:
         raise ValueError("grids must be non-empty")
+    lengths, rows_of_L = np.unique(L_grid, return_inverse=True)
+    slits = lengths[:, None, None]
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m)
     angles = users.angles_rad
@@ -144,7 +150,7 @@ def geometry_gains_squared(
             term = diffraction_gain_grid(config, angles[k:k + 1], freqs)[..., 0]
             term *= gamma[k]
             block += np.square(term, out=term)  # the gain is real: |x|^2 = x*x bitwise
-    return out
+    return out if np.array_equal(lengths, L_grid) else out[:, rows_of_L]
 
 
 def rate_bits(powers, gains2, noise: NoiseModel, num_subbands: int) -> float:

@@ -96,10 +96,12 @@ class LwaConfig:
 
 def even_spacing(values: np.ndarray, what: str) -> float:
     """The step (v[-1] - v[0]) / (n - 1) of a 1-D array of n values, 0 for
-    one value. Raises ValueError("<what> must be evenly spaced") unless every
-    value lies within SPACING_TOL * eps * max|v| of v[0] + i * step."""
+    fewer than two. Raises ValueError("<what> must be evenly spaced") unless
+    every value lies within SPACING_TOL * eps * max|v| of v[0] + i * step."""
+    if values.size < 2:
+        return 0.0
     n = np.arange(values.size)
-    step = (values[-1] - values[0]) / max(values.size - 1, 1)
+    step = (values[-1] - values[0]) / (values.size - 1)
     off_line = np.abs(values - (values[0] + n * step))
     if np.any(off_line > SPACING_TOL * np.finfo(float).eps * np.abs(values).max()):
         raise ValueError(f"{what} must be evenly spaced")
@@ -187,9 +189,10 @@ def diffraction_gain_grid(
     as linspace makes it; along it sin comes from the phasor recurrence of
     the module docstring. Its anchor rows (j = 0 mod SLIT_ANCHOR_STRIDE)
     equal the gain evaluated with that slit length alone, bitwise, and the
-    other rows lie within the recurrence's bound of it. Raises ValueError
-    unless every frequency is finite and > 0, or if a slit column is not
-    evenly spaced.
+    other rows lie within the recurrence's bound of it, so rows that repeat
+    a slit length may differ in their last bits (geometry_gains_squared
+    evaluates each distinct length once). Raises ValueError unless every
+    frequency is finite and > 0, or if a slit column is not evenly spaced.
     """
     angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)

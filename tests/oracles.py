@@ -50,7 +50,7 @@ def slit_gain_bound(slits) -> np.ndarray:
     equal it bitwise."""
     slits = np.ravel(slits)
     m = np.arange(slits.size) % SLIT_ANCHOR_STRIDE
-    bound = (2 * SPACING_TOL + 8 + 5 * m) * (np.abs(slits).max() / slits) * EPS
+    bound = (2 * SPACING_TOL + 8 + 5 * m) * (np.abs(slits).max(initial=0.0) / slits) * EPS
     return np.where(m == 0, 0.0, bound)
 
 

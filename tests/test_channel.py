@@ -158,6 +158,22 @@ class TestBuildChannel:
         assert calls == [(size, angle) for size in sizes for angle in users.angles_rad]
         self._assert_per_point_match(gains2, b_grid, L_grid, grid, users)
 
+    def test_repeated_slit_lengths_share_one_row(self):
+        # linspace over one ulp repeats two values: the rows of one value are
+        # one gains row, so a fixed point of the optimizer by (i, j) is one by
+        # geometry. The slit recurrence runs over the distinct lengths in
+        # increasing order, so a descending grid gives the same rows reversed.
+        b_grid, _, grid, users = self._sub_cutoff_grid(4)
+        L_grid = np.linspace(15.86e-3, np.nextafter(15.86e-3, 1.0), 4)
+        lengths = np.unique(L_grid)
+        assert lengths.size == 2 and np.array_equal(L_grid, lengths[[0, 0, 1, 1]])
+        gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+        distinct = geometry_gains_squared(b_grid, lengths, grid, users, LOSS)
+        assert np.array_equal(gains2, distinct[:, [0, 0, 1, 1]])
+        reversed_grid = geometry_gains_squared(b_grid, L_grid[::-1], grid, users, LOSS)
+        assert np.array_equal(reversed_grid, gains2[:, ::-1])
+        self._assert_per_point_match(distinct, b_grid, lengths, grid, users)
+
     @pytest.mark.parametrize("b_grid, L_grid", [([], [10e-3]), ([1e-3], [])])
     def test_geometry_gains_squared_rejects_empty_grids(self, b_grid, L_grid):
         grid = FrequencyGrid(np.array([300e9]))

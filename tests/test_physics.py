@@ -371,11 +371,11 @@ class TestSlitRecurrence:
                 worst = max(worst, abs(got[i, j, n, k] - want) / bound)
         assert worst > 0.0
 
-    @pytest.mark.parametrize("slits", [[20e-3], [10e-3, 40e-3], [30e-3] * 5])
+    @pytest.mark.parametrize("slits", [[], [20e-3], [10e-3, 40e-3], [30e-3] * 5])
     def test_short_and_constant_columns(self, slits):
-        # J = 1 is one anchor; J = 2 one anchor and one step; equal slit
-        # lengths (slit_min_m == slit_max_m) step by exactly 1, so every row
-        # is its anchor's
+        # J = 0 gives an empty grid; J = 1 is one anchor; J = 2 one anchor
+        # and one step; equal slit lengths (slit_min_m == slit_max_m) step
+        # by exactly 1, so every row is its anchor's
         config = LwaConfig(1e-3, _slit_column(*slits))
         angles = np.concatenate([ANGLES, _peak_angles(B1MM, [300e9])])
         got = diffraction_gain_grid(config, angles, BAND)
