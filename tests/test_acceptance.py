@@ -304,8 +304,7 @@ def _assert_near_tie(cfg, users, grids, trace, got):
     max_iterations=6, seed=4001079887,
 ))
 # four slit rows over one ulp repeat two values: rows of one value share one
-# gains row, so the run stops at the replay's fixed point and not later, as
-# it did when those rows differed in their last bits
+# gains row, so the run stops at the replay's fixed point
 @example(ScenarioConfig(
     num_subbands=17, num_users=19, power_budget=0.3423174790956192,
     noise_variance=0.009717966455285283, b_min_m=0.00017803222146898088,
