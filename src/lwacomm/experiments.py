@@ -99,6 +99,9 @@ class ScenarioConfig:
             raise ConfigError("range interval must satisfy 0 < min <= max")
         if self.power_budget <= 0 or self.noise_variance <= 0:
             raise ConfigError("power_budget and noise_variance must be > 0")
+        if self.power_budget / self.num_subbands < np.finfo(float).smallest_normal:
+            # a subnormal share rounds, and N shares may sum past the budget
+            raise ConfigError("power_budget / num_subbands is a subnormal share")
         if not (0 < self.b_min_m <= self.b_max_m):
             raise ConfigError("b bounds must satisfy 0 < min <= max")
         if not (0 < self.slit_min_m <= self.slit_max_m):

@@ -14,11 +14,10 @@ frequency, so the largest is 1/d_min, known before any entry is made; the
 entries are made times d_min, with a largest magnitude of 1, and each Gram
 is formed from them as made, with no pass over the entries for their
 magnitudes.
-The entries are made by a phasor recurrence over the evenly spaced subband
-centers, one complex multiply per entry, with the direct exp as an anchor
-every ANCHOR_STRIDE subbands. They are made in order from subband 0, each
-block going on from the last row of the one before, so the pass takes one
-exp per anchor whatever the block size. Each entry lies within 4 Phi_max
+The entries are physics.phasor_rows over the evenly spaced subband centers,
+one complex multiply per entry, anchored on the direct phasor every
+ANCHOR_STRIDE subbands; one recurrence runs through every block, so the
+pass takes one direct phasor row per anchor. Each entry lies within 4 Phi_max
 eps relative of its exact value (Phi_max = 2 pi f_max d_max / c, the
 largest phase), the same bound the direct exp meets, since rounding the
 phase argument already costs it about Phi_max eps.
@@ -28,13 +27,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
 from .channel import FrequencyGrid, NoiseModel, UserSet, rate_bits
 from .optimizer import waterfill
-from .physics import SPEED_OF_LIGHT, even_spacing
+from .physics import SPEED_OF_LIGHT, _phasor, even_spacing, phasor_rows
 
 # Relative accuracy asked of every Gram eigenvalue the rate uses. A Gram
 # eigenvalue of an r x r subband carries an absolute error of order
@@ -44,7 +44,7 @@ GRAM_RTOL = 1e-9
 # Subband matrices per block: bounds the entries and conjugated copies that
 # exist at one time to about this many entries each.
 GRAM_BLOCK_ENTRIES = 2**15
-# Subbands from one exact-exp anchor row of the LoS entries to the next.
+# Subbands from one exact anchor row of the LoS entries to the next.
 ANCHOR_STRIDE = 16
 
 
@@ -83,9 +83,8 @@ class _LineOfSight(NamedTuple):
     blocks: the LoS channel scaled to a largest magnitude of 1.
 
     The subband centers are evenly spaced, f_n = f_a + (n - a) * delta, so
-    row n is row n - 1 times the step phasor exp(-2j pi delta d_km / c): one
-    complex multiply per entry. Each row n = 0 (mod ANCHOR_STRIDE) is an
-    exact anchor, the direct exp, and row n is that anchor times the step
+    the rows are physics.phasor_rows with the step exp(-2j pi delta d_km / c):
+    row n is the direct phasor at n = 0 (mod ANCHOR_STRIDE), times the step
     n mod ANCHOR_STRIDE times, in that order, whatever the block size."""
 
     dist: np.ndarray
@@ -97,34 +96,22 @@ class _LineOfSight(NamedTuple):
 
     def blocks(self, rows: int):
         """Consecutive blocks of at most rows subbands, from subband 0 to the
-        last. A block's last row goes on into the next block, so a block must
-        not be written before the next one is read."""
+        last, each a fresh array."""
         dist, freqs = self.dist, self.freqs
         spacing = even_spacing(freqs, "the subband centers")
         inv_dist = dist.min() / dist
-        step = _phasors(np.array([spacing]), dist)[0]
-        prev = None  # the row before the block
+
+        def anchor(n, out):
+            # the direct phasor, rounding as exp(-2j*pi*f*d / c) * (d_min / d)
+            _phasor(((-2.0 * np.pi) * freqs[n] * dist) * (1.0 / SPEED_OF_LIGHT), out)
+            out *= inv_dist
+        step = ((-2.0 * np.pi) * spacing * dist) * (1.0 / SPEED_OF_LIGHT)
+        recurrence = phasor_rows(anchor, step, freqs.size, ANCHOR_STRIDE)
         for start in range(0, freqs.size, rows):
             block = np.empty((min(rows, freqs.size - start), *dist.shape), dtype=complex)
-            first = -start % ANCHOR_STRIDE  # the first anchor's row in the block
-            # the direct exp, rounding as exp(-2j*pi*f*d / c) * (d_min / d)
-            anchors = _phasors(freqs[start + first : start + rows : ANCHOR_STRIDE], dist)
-            anchors *= inv_dist
-            block[first::ANCHOR_STRIDE] = anchors
-            for i, row in enumerate(block):
-                if (start + i) % ANCHOR_STRIDE:
-                    np.multiply(prev, step, out=row)
-                prev = row
+            for i, row in enumerate(islice(recurrence, len(block))):
+                block[i] = row
             yield block
-
-
-def _phasors(freqs: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """exp(-2j pi f d / c) for each f of freqs (axis 0) and d of dist."""
-    phasors = np.zeros((freqs.size, *dist.shape), dtype=complex)
-    phase = phasors.imag
-    np.multiply((-2.0 * np.pi) * freqs[:, None, None], dist, out=phase)
-    phase *= 1.0 / SPEED_OF_LIGHT
-    return np.exp(phasors, out=phasors)
 
 
 class MimoSpectrum(NamedTuple):

@@ -6,15 +6,17 @@ radiated at its own azimuth angle arcsin(c/(2bf)) (the "THz rainbow"), with
 a sinc-shaped diffraction pattern whose width shrinks as the slit grows.
 
 diffraction_gain_grid is the one way in: the optimizer, the beampattern and
-the MIMO normalization all read the gain from it. It is pure; LwaConfig is a
-plain class that checks its fields when it is built.
+the LWA peak that scales the MIMO rate all read the gain from it. It is
+pure; LwaConfig is a plain class that checks its fields when it is built.
 
 A slit column must be evenly spaced: every L_j within SPACING_TOL eps
 max|L| of L_0 + j delta (even_spacing), or ValueError is raised. Along it the
 sinc argument z_j = w L_j / 2, with w = beta - k0 cos(phi), is linear in j.
 So sin(z_j) is the imaginary part of a phasor that advances by one complex
 multiply per row, with an exact anchor cos(z_j) + i sin(z_j) every
-SLIT_ANCHOR_STRIDE rows, whose imaginary part is the direct sin(z_j) itself.
+SLIT_ANCHOR_STRIDE rows, whose imaginary part is the direct sin(z_j) itself:
+phasor_rows, the package's one anchored recurrence, which the MIMO line of
+sight also runs with its own stride and bound.
 For row j, m = j mod SLIT_ANCHOR_STRIDE steps past its anchor a, against
 sin(z_j) / z_j on the same bits of z_j:
 
@@ -117,25 +119,21 @@ def _phasor(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _slit_sines(z: np.ndarray, w: np.ndarray, spacing: float) -> np.ndarray:
-    """sin(z) of z = w * (L_j / 2) over an evenly spaced slit axis (axis -3),
-    by the phasor recurrence: row j is row j - 1 times exp(i w spacing / 2),
-    and each row j = 0 (mod SLIT_ANCHOR_STRIDE) is the anchor exp(i z_j),
-    whose imaginary part is np.sin(z_j). Only the current row and the
-    step are held as complex arrays; each row's imaginary part goes straight
-    into the result."""
-    sines = np.empty(z.shape)
-    z_rows, sine_rows = np.moveaxis(z, -3, 0), np.moveaxis(sines, -3, 0)
-    row = np.empty(z_rows.shape[1:], dtype=complex)
-    if len(z_rows) > 1:
-        step = _phasor(np.reshape(w * (spacing / 2.0), row.shape), np.empty_like(row))
-    for j, z_row in enumerate(z_rows):
-        if j % SLIT_ANCHOR_STRIDE:
+def phasor_rows(anchor, step, count: int, stride: int):
+    """Rows j = 0, ..., count - 1 of a phasor recurrence along an evenly spaced
+    axis, in order: anchor(j, row) writes the exact row j = 0 (mod stride)
+    into the buffer it is given, and any other row is the row before times
+    exp(i step), made only when count > 1. Every row is yielded as the one
+    buffer, so it holds only until the next row is asked for."""
+    row = np.empty(np.shape(step), dtype=complex)
+    if count > 1:
+        step = _phasor(step, np.empty_like(row))
+    for j in range(count):
+        if j % stride:
             row *= step
         else:
-            _phasor(z_row, row)
-        sine_rows[j] = row.imag
-    return sines
+            anchor(j, row)
+        yield row
 
 
 def _sinc(z: np.ndarray, sines: np.ndarray | None = None) -> np.ndarray:
@@ -149,7 +147,6 @@ def _sinc(z: np.ndarray, sines: np.ndarray | None = None) -> np.ndarray:
     sines, when given, is sin(z) already made, and is written in place;
     the series entries take no value from it.
     """
-    z = np.asarray(z)
     magnitude = np.abs(z)
     # fmin skips NaN, so a NaN entry cannot hide a small one
     small = None
@@ -209,8 +206,14 @@ def diffraction_gain_grid(
     slits = config.slit_length_L
     z = w * (slits / 2.0)
     sines = None
-    if np.ndim(slits):  # a (J, 1, 1) column
-        sines = _slit_sines(z, w, even_spacing(np.ravel(slits), "the slit lengths"))
+    if np.ndim(slits):  # a (J, 1, 1) column: sin(z_j) is the phasor rows' .imag
+        z_rows, sines = np.moveaxis(z, -3, 0), np.empty(z.shape)
+        spacing = even_spacing(np.ravel(slits), "the slit lengths")
+        step = np.reshape(w * (spacing / 2.0), z_rows.shape[1:])
+        rows = phasor_rows(lambda j, out: _phasor(z_rows[j], out), step,
+                           len(z_rows), SLIT_ANCHOR_STRIDE)
+        for sine_row, row in zip(np.moveaxis(sines, -3, 0), rows):
+            sine_row[...] = row.imag
     gain = _sinc(z, sines)
     if not valid.all():
         np.copyto(gain, 0.0, where=~valid)

@@ -97,6 +97,24 @@ def test_tiny_budget_is_allocated(tmp_path):
     assert math.isclose(total, 1e-18, rel_tol=1e-7)
 
 
+# 1e-320 / 40 is subnormal and its 40 rounded shares sum past the budget,
+# which PowerAllocation.uniform rejected with a traceback (exit 1)
+SUBNORMAL_SHARE_CFG = "num_subbands = 40\nb_grid_points = 3\nslit_grid_points = 3\n"
+
+
+@pytest.mark.parametrize("command", ["optimize", "compare-mimo", "beampattern"])
+def test_budget_with_a_subnormal_share_exits_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, SUBNORMAL_SHARE_CFG + "power_budget = 1e-320\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "subnormal share" in capsys.readouterr().err
+
+
+def test_budget_with_the_smallest_normal_share_runs(tmp_path):
+    budget = 40 * 2.2250738585072014e-308  # the smallest normal float per subband
+    cfg = write_cfg(tmp_path, SUBNORMAL_SHARE_CFG + f"power_budget = {budget!r}\n")
+    assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+
+
 def test_floors_equal_within_rounding_are_allocated(tmp_path):
     # users out to 1e150 m give a MIMO pool of floors ~1e297 that differ in
     # their last bits; waterfilling used to overshoot the budget (exit 3)

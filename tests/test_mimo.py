@@ -13,7 +13,7 @@ from lwacomm.channel import (
     UserSet,
     build_channel,
 )
-from lwacomm import mimo
+from lwacomm import mimo, physics
 from lwacomm.experiments import ScenarioConfig, sample_users
 from lwacomm.mimo import UlaGeometry, build_mimo_channel, mimo_sum_rate
 from lwacomm.optimizer import AllGainsZero, SearchGrids, alternate_optimize
@@ -106,6 +106,12 @@ class TestBuildChannel:
         with pytest.raises(ValueError):
             build_mimo_channel(geometry, GRID, users)
 
+    def test_user_at_half_the_aperture_rejected(self):
+        geometry = UlaGeometry(64, 200e9)
+        users = UserSet(np.array([0.5]), np.array([geometry.aperture_m / 2]))
+        with pytest.raises(ValueError, match="half the array aperture"):
+            build_mimo_channel(geometry, GRID, users)
+
     @pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
     def test_entries_match_reference_within_phase_bound(self, config):
         # the bound TestEntryAccuracy checks both against the exact value
@@ -140,7 +146,7 @@ class TestLineOfSightSource:
             assert_blocks(source, whole, size)
 
     def test_spectrum_of_the_rows_equals_spectrum_of_the_source(self, monkeypatch):
-        for config, trial in [(SMALL, 2), (CONFIGS[1], 1)]:
+        for config, trial in [(SMALL, 2), (CONFIGS[1], 1), (SQUARE, 1)]:
             users = sample_users(config, trial)
             n, K, M = config.num_subbands, config.num_users, config.mimo_elements
             for rows in (1, 3, mimo.ANCHOR_STRIDE, mimo.ANCHOR_STRIDE + 1, n):
@@ -153,16 +159,20 @@ class TestLineOfSightSource:
         # 3-subband blocks, so most blocks start between anchors
         monkeypatch.setattr(mimo, "GRAM_BLOCK_ENTRIES", 3 * 3 * 8)
         exp_rows = []
-        phasors = mimo._phasors
+        phasor = physics._phasor
 
-        def spy(freqs, dist):
-            exp_rows.append(freqs.size)
-            return phasors(freqs, dist)
+        def spy(x, out):
+            exp_rows.append(np.shape(x))
+            return phasor(x, out)
 
-        monkeypatch.setattr(mimo, "_phasors", spy)
+        # the anchors' name in mimo, and the step's in physics.phasor_rows
+        monkeypatch.setattr(mimo, "_phasor", spy)
+        monkeypatch.setattr(physics, "_phasor", spy)
         built = build_mimo_channel(SMALL.ula(), SMALL.frequency_grid(), sample_users(SMALL, 2))
-        # the anchors, and the step row
-        assert sum(exp_rows) == math.ceil(SMALL.num_subbands / mimo.ANCHOR_STRIDE) + 1
+        # the anchors, and the step row, each one K x M row
+        assert exp_rows == [(SMALL.num_users, SMALL.mimo_elements)] * (
+            math.ceil(SMALL.num_subbands / mimo.ANCHOR_STRIDE) + 1)
+        monkeypatch.undo()
         assert_spectrum_of_rows(built)
 
     def test_consecutive_blocks_of_every_size_give_the_same_rows(self):
@@ -170,6 +180,17 @@ class TestLineOfSightSource:
         whole = next(source.blocks(source.shape[0]))
         for size in range(1, 2 * mimo.ANCHOR_STRIDE + 2):
             assert_blocks(source, whole, size)
+
+    def test_a_written_block_leaves_the_next_ones_unchanged(self):
+        source = small_source(3)
+        whole = next(source.blocks(source.shape[0]))
+        for size in (1, 3, mimo.ANCHOR_STRIDE - 1):
+            start = 0
+            for block in source.blocks(size):
+                assert np.array_equal(block, whole[start : start + len(block)]), (size, start)
+                block[...] = 0.0  # the caller reuses the block before the next is read
+                start += len(block)
+            assert start == len(whole)
 
     def test_sources_read_alternately_keep_their_own_rows(self):
         sources = [small_source(3), small_source(4)]
@@ -207,6 +228,8 @@ class TestLineOfSightSource:
 
 # 40 subbands (anchors at 0, 16 and 32), small enough to read row by row
 SMALL = ScenarioConfig(num_subbands=40, num_users=3, mimo_elements=8)
+# K = M: each Gram is taken on the unswapped side, H H^H
+SQUARE = ScenarioConfig(num_subbands=40, num_users=8, mimo_elements=8)
 
 
 def small_source(trial):

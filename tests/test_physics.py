@@ -251,6 +251,11 @@ class TestRealGain:
         got = diffraction_gain_grid(config, angles, freqs)
         assert_matches_reference(got, config, angles, freqs)
 
+    def test_float32_angles_are_evaluated_in_float64(self):
+        angles = ANGLES.astype(np.float32)
+        got = diffraction_gain_grid(B1MM, angles, BAND)
+        assert np.array_equal(got, diffraction_gain_grid(B1MM, angles.astype(float), BAND))
+
     @pytest.mark.parametrize("name", ["series"])
     def test_series_cases_reach_the_series_branch(self, name, monkeypatch):
         smallest = []
@@ -402,6 +407,10 @@ class TestSlitRecurrence:
         slits = [10e-3, 20e-3 + 3 * EPS * 30e-3, 30e-3]
         config = LwaConfig(1e-3, _slit_column(*slits))
         assert diffraction_gain_grid(config, ANGLES, BAND).shape == (3, BAND.size, ANGLES.size)
+
+    def test_a_value_exactly_at_the_tolerance_passes(self):
+        # 8 eps off the line through 0 and 2: SPACING_TOL * eps * max|v| exactly
+        assert physics.even_spacing(np.array([0.0, 1.0 + 8 * EPS, 2.0]), "v") == 1.0
 
 
 class TestPlateSeparationAxis:
