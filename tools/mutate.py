@@ -143,12 +143,13 @@ def main(argv: list[str] | None = None) -> int:
     split = argv.index("--") if "--" in argv else len(argv)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", type=Path, help="a module file under src/")
-    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the source tree")
     args = parser.parse_args(argv[:split])
     selection = argv[split + 1 :]
     if not selection:
         parser.error("give the pytest selection after --")
-    results = run_mutants(args.module, args.src, selection,
+    if not args.module.resolve().is_relative_to((ROOT / "src").resolve()):
+        parser.error(f"{args.module} is not under {ROOT / 'src'}")
+    results = run_mutants(args.module, ROOT / "src", selection,
                           report=lambda line: print(line, flush=True))
     found = [mutant for mutant, survived in results if survived]
     print(f"{len(results)} mutants of {args.module}: "
