@@ -229,6 +229,8 @@ def beampattern(
     # an (active, R) view: with it the einsum sums as over the (N, R) operand
     gamma2 = np.broadcast_to(gamma2, (active.size, range_grid.size))
     energy = np.einsum("n,na,nr->ar", powers[active], gains2, gamma2)
-    floor = np.full_like(energy, BEAMPATTERN_FLOOR)
-    return np.log10(energy, out=floor, where=energy > 0.0)
+    positive = energy > 0.0
+    np.log10(energy, out=energy, where=positive)  # in place: no second map
+    energy[~positive] = BEAMPATTERN_FLOOR
+    return energy
 

@@ -7,7 +7,9 @@ geometry, so the trace rate is non-decreasing.
 
 Both steps read one (B, L, N) array of squared channel norms ||h_n||^2 over
 the geometry grid (channel.geometry_gains_squared), built once per user
-draw; the optimizer never builds a channel itself.
+draw; the optimizer never builds a channel itself. The geometry step makes
+one array of that size per call, its ranking key, and takes every step of
+the key in place in it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ class PowerAllocation:
     def uniform(cls, n: int, budget: float) -> "PowerAllocation":
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"need an integer count of at least one subband, got {n!r}")
+        if budget > 0 and budget / n < np.finfo(float).smallest_normal:
+            # a subnormal share rounds, and n shares may sum past the budget
+            raise ValueError(f"budget / n = {budget / n!r} is a subnormal share")
         return cls(np.full(n, budget / n), budget)
 
 
@@ -152,10 +157,13 @@ def grid_search_geometry(
         raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
     # ranking key: the rate times N ln 2, with log1p keeping per-subband
     # SNRs below eps apart, summed over the powered subbands only (an
-    # unpowered one adds log1p(0) = +0)
+    # unpowered one adds log1p(0) = +0). It is built in place in the one
+    # copy gains[..., on]; g * (P/sigma^2) equals (P/sigma^2) * g bitwise.
     powers = fixed_powers.powers
     on = np.flatnonzero(powers)
-    key = np.log1p(powers[on] / noise.variance_sigma2 * gains[..., on]).sum(axis=-1)
+    key = gains[..., on]
+    key *= powers[on] / noise.variance_sigma2
+    key = np.log1p(key, out=key).sum(axis=-1)
     best = int(np.argmax(key))
     # The key's sum rounds otherwise than rate_bits' fsum, so the geometries
     # within NEAR_TIE_RTOL of the best key are ranked again by rate_bits.

@@ -8,6 +8,11 @@ a sinc-shaped diffraction pattern whose width shrinks as the slit grows.
 diffraction_gain_grid is the one way in: the optimizer, the beampattern and
 the LWA peak that scales the MIMO rate all read the gain from it. It is
 pure; LwaConfig is a plain class that checks its fields when it is built.
+It makes two arrays of the gain's size, the argument z and the gain, and
+writes every other full-size step into one of them in place (_sinc; a
+copy of z and a mask are added only when some entry needs the series near
+z = 0): a freed full-size array is memory the allocator may hand back to
+the system and fault in again on the next call.
 
 A slit column must be evenly spaced: every L_j within SPACING_TOL eps
 max|L| of L_0 + j delta (even_spacing), or ValueError is raised. Along it the
@@ -136,26 +141,30 @@ def phasor_rows(anchor, step, count: int, stride: int):
         yield row
 
 
-def _sinc(z: np.ndarray, sines: np.ndarray | None = None) -> np.ndarray:
-    """Unnormalized sinc sin(z)/z of real z, sinc(0) = 1, in float64.
+def _sinc(z: np.ndarray, sines=None) -> np.ndarray:
+    """Unnormalized sinc sin(z)/z of real z, sinc(0) = 1, in a new float64
+    array. z is overwritten: it is the caller's scratch.
 
     Near zero a 4th-order series keeps the peak numerically exact. sin(z) is
     multiplied by 1/z: that is how numpy rounds a complex division by a
     number whose imaginary part is 0, so the result equals the complex
-    evaluation bitwise. z itself is never written; it is copied, and the
-    mask of series entries built, only when some entry needs the series.
-    sines, when given, is sin(z) already made, and is written in place;
-    the series entries take no value from it.
+    evaluation bitwise. |z| is taken into the result as scratch; when no
+    entry needs the series, 1/z is taken into z itself, and only otherwise
+    are the mask of series entries and a copy of z made. sines(out), when
+    given, writes sin(z) into out before z is overwritten; the series
+    entries take no value from it.
     """
-    magnitude = np.abs(z)
+    out = np.abs(z, out=np.empty(z.shape))
     # fmin skips NaN, so a NaN entry cannot hide a small one
     small = None
-    if magnitude.size and np.fmin.reduce(magnitude, axis=None) < _SINC_SERIES_CUTOFF:
-        small = magnitude < _SINC_SERIES_CUTOFF
+    if out.size and np.fmin.reduce(out, axis=None) < _SINC_SERIES_CUTOFF:
+        small = out < _SINC_SERIES_CUTOFF
     safe = z if small is None else np.where(small, 1.0, z)
-    out = np.sin(safe) if sines is None else sines
-    # the magnitudes are no longer needed, so the reciprocal goes there
-    out *= np.divide(1.0, safe, out=magnitude)
+    if sines is None:
+        np.sin(safe, out=out)
+    else:
+        sines(out)
+    out *= np.divide(1.0, safe, out=safe)
     if small is not None:
         z_small = z[small]
         z2 = z_small * z_small
@@ -207,13 +216,15 @@ def diffraction_gain_grid(
     z = w * (slits / 2.0)
     sines = None
     if np.ndim(slits):  # a (J, 1, 1) column: sin(z_j) is the phasor rows' .imag
-        z_rows, sines = np.moveaxis(z, -3, 0), np.empty(z.shape)
+        z_rows = np.moveaxis(z, -3, 0)
         spacing = even_spacing(np.ravel(slits), "the slit lengths")
         step = np.reshape(w * (spacing / 2.0), z_rows.shape[1:])
-        rows = phasor_rows(lambda j, out: _phasor(z_rows[j], out), step,
-                           len(z_rows), SLIT_ANCHOR_STRIDE)
-        for sine_row, row in zip(np.moveaxis(sines, -3, 0), rows):
-            sine_row[...] = row.imag
+
+        def sines(out):
+            rows = phasor_rows(lambda j, row: _phasor(z_rows[j], row), step,
+                               len(z_rows), SLIT_ANCHOR_STRIDE)
+            for sine_row, row in zip(np.moveaxis(out, -3, 0), rows):
+                sine_row[...] = row.imag
     gain = _sinc(z, sines)
     if not valid.all():
         np.copyto(gain, 0.0, where=~valid)

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -242,6 +243,22 @@ class TestUserSum:
         # only the last user's gains are alive when the next are computed
         assert len(most) == num_users and max(most) == 1
 
+    def test_default_grid_peak_is_a_few_user_arrays(self):
+        # a gain call holds z and its result, which takes |z|, sin(z) and the
+        # gain in turn, while the output and the last user's term are alive
+        config = experiments.ScenarioConfig(seed=1)
+        users, grid = experiments.sample_users(config, 0), config.frequency_grid()
+        b_grid, L_grid = np.linspace(0.9e-3, 1.1e-3, 21), np.linspace(10e-3, 50e-3, 21)
+        one_user = 21 * 21 * grid.num_subbands * 8
+        geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+        tracemalloc.start()
+        try:
+            geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * one_user, f"peak {peak / one_user:.2f} one-user arrays"
+
 
 class TestRates:
     @staticmethod
@@ -472,6 +489,22 @@ class TestBeampattern:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, np.array([]), self.RANGES)
+
+    def test_fine_map_peak_is_one_map_and_its_masks(self):
+        # the log is taken in place: no second map, only the einsum's and
+        # the floor's masks beside it
+        angles = np.radians(np.arange(1, 901) / 10.0)
+        ranges = np.arange(50, 251) / 10.0
+        args = (self.CFG, self.GRID, [1.0] * 4, LOSS, angles, ranges)
+        one_map = angles.size * ranges.size * 8
+        beampattern(*args)
+        tracemalloc.start()
+        try:
+            beampattern(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * one_map, f"peak {peak / one_map:.2f} maps"
 
     def test_csv_export_format(self, tmp_path):
         m = beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, self.ANGLES, self.RANGES)

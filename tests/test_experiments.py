@@ -294,6 +294,13 @@ class TestOptimizeScenario:
         assert FAST.slit_min_m <= result.chosen_L <= FAST.slit_max_m
         assert result.powers.powers.sum() == pytest.approx(FAST.power_budget, rel=1e-9)
 
+    def test_budget_with_a_subnormal_share_is_rejected(self):
+        # only ScenarioConfig.power_budget was checked; a budget passed here
+        # reached PowerAllocation, whose rounded shares summed past it
+        config = ScenarioConfig()
+        with pytest.raises(ValueError, match="subnormal share"):
+            optimize_scenario(config, sample_users(config, 0), 1e-320)
+
     @pytest.mark.parametrize("num_users", [4, 9, 32])
     def test_sum_rate_equals_the_chosen_channels_rate(self, num_users):
         # the optimizer takes ||h_n||^2 from the gains array, the reference

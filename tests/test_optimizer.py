@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,6 +275,20 @@ class TestGridSearch:
         scaled = gains_for(grids, grid, nearer)
         assert grid_search_geometry(grids, powers, scaled, NOISE) == first
 
+    def test_key_is_built_in_one_copy(self):
+        # gains[..., on] is copied once and scaled and logged in place; the
+        # rest is numpy's 64 KiB ufunc buffer and the per-geometry sums
+        gains = np.random.default_rng(3).uniform(0.0, 0.1, (21, 21, 40))
+        grids, powers = bounded_grids(21, 21), PowerAllocation.uniform(40, 10.0)
+        want = grid_search_geometry(grids, powers, gains, NOISE)
+        tracemalloc.start()
+        try:
+            got = grid_search_geometry(grids, powers, gains, NOISE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak <= 1.5 * gains.nbytes, f"peak {peak / gains.nbytes:.2f} keys"
+
     def test_gains_must_match_grids(self):
         grids = bounded_grids(3, 2)
         gains = default_gains(bounded_grids(2, 3))
@@ -432,6 +447,13 @@ class TestPowerAllocation:
         # n = 0 used to raise ZeroDivisionError
         with pytest.raises(ValueError, match="at least one subband"):
             PowerAllocation.uniform(n, 1.0)
+
+    @pytest.mark.parametrize("n, budget", [(40, 1e-320), (1, 1e-310), (3, 5e-324)])
+    def test_uniform_rejects_a_subnormal_share(self, n, budget):
+        # 40 shares of 2.5e-322 used to sum past the budget
+        with pytest.raises(ValueError, match="subnormal share"):
+            PowerAllocation.uniform(n, budget)
+        assert PowerAllocation.uniform(n, n * 2.3e-308).powers.sum() > 0
 
     def test_search_grid_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -457,13 +458,37 @@ class TestPlateSeparationAxis:
         [
             np.array([0.5, -2.0, 30.0]),
             np.array([0.5, 0.0, -3e-7, 2.0]),  # series branch
+            np.array([math.nan, 0.0, 2.0]),
+            np.array([math.nan, -1.0, 5.0]),
         ],
     )
-    def test_sinc_leaves_its_argument_unchanged(self, z):
-        before = z.copy()
-        z.flags.writeable = False
-        out = physics._sinc(z)
-        assert np.array_equal(z, before) and out.dtype == z.dtype
+    def test_sinc_takes_its_argument_as_scratch(self, z):
+        # the same bits as sin(z) * (1/z) and the series, each step into a new
+        # array; the argument is overwritten and the result is a new array
+        small = np.abs(z) < physics._SINC_SERIES_CUTOFF
+        safe = np.where(small, 1.0, z)
+        want = np.sin(safe) * (1.0 / safe)
+        z2 = z[small] * z[small]
+        want[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
+        scratch = z.copy()
+        got = physics._sinc(scratch)
+        assert got is not scratch and got.dtype == np.float64
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("series, most", [(False, 1.01), (True, 2.2)])
+    def test_sinc_allocates_its_result_alone(self, series, most):
+        # 1/z goes into the argument and |z| and sin(z) into the result; only
+        # the series makes the mask and a copy of z
+        z = np.linspace(-50.0 if series else 0.5, 50.0, 10**5 + 1)  # z[50000] ~ 0
+        physics._sinc(z.copy())
+        scratch = z.copy()
+        tracemalloc.start()
+        try:
+            physics._sinc(scratch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= most * z.nbytes, f"peak {peak / z.nbytes:.3f} arrays"
 
     def test_sinc_series_is_not_hidden_by_nan(self):
         # the series test looks at the smallest magnitude, which NaN must not mask
