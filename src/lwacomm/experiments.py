@@ -38,9 +38,6 @@ from .optimizer import (
 from .physics import LwaConfig
 
 
-CSV_WRITE_BYTES = 2**16  # beampattern CSV write size: 60 writes, not 901, for a 900 x 201 map
-
-
 class ConfigError(ValueError):
     """Invalid or unknown scenario configuration."""
 
@@ -331,10 +328,10 @@ def export_beampattern_csv(
     # puts the angle before the first tail and keeps an empty range grid
     # empty). b"%.9g" % x equals f"{x:.9g}".encode() for every float. The
     # rows are converted one at a time, so no list of the whole map exists;
-    # the file's buffer gathers them into writes of CSV_WRITE_BYTES, not one
-    # write per angle row (5 KB on a 201-point range grid).
+    # the file's 64 KiB buffer gathers them into 60 writes for a 900 x 201
+    # map, not one write per angle row (5 KB on a 201-point range grid).
     tails = [b"", *(b",%.9g,%%.9g\n" % rng for rng in range_m)]
-    with open(path, "wb", buffering=CSV_WRITE_BYTES) as fh:
+    with open(path, "wb", buffering=2**16) as fh:
         fh.write(b"angle_deg,range_m,log_energy\n")
         for ang, row in zip(angle_deg, energy_map):
             fh.write((b"%.9g" % ang).join(tails) % tuple(row.tolist()))

@@ -1,11 +1,11 @@
 """Minor page faults and median time per op of each benchmark workload.
 
-    python3 tools/faults.py [--ops 300] [--seed 1] [--workload NAME ...]
+    python3 tools/faults.py [--ops 300] [--workload NAME ...]
 
 For each workload (default: those of BENCHMARK.json) a fresh interpreter
 imports the package from ./src, runs the workload's op from
 perfbench/workloads.py once on its golden input as a warm-up, then `--ops`
-ops on the inputs drawn from `--seed`, one after another, each into an
+ops on the inputs drawn from seed 1, one after another, each into an
 output directory that is deleted after it. Around every op it reads
 getrusage(RUSAGE_SELF).ru_minflt and the clock; outputs are not checked.
 Prints one line per workload: minor faults per op (their mean), the op's
@@ -32,9 +32,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHILD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+SEED = 1  # every run measures the same op sequence
 
 
-def measure(workload_name: str, ops: int, seed: int) -> dict:
+def measure(workload_name: str, ops: int) -> dict:
     """Run in the fresh process: the warm-up, then `ops` measured ops."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from workloads import WORKLOADS
@@ -45,7 +46,7 @@ def measure(workload_name: str, ops: int, seed: int) -> dict:
         out_dir = Path(tmp) / "op"
         workload.run(workload.golden_input, out_dir)
         shutil.rmtree(out_dir, ignore_errors=True)
-        for inp in itertools.islice(workload.inputs(seed), ops):
+        for inp in itertools.islice(workload.inputs(SEED), ops):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             workload.run(inp, out_dir)
@@ -56,10 +57,10 @@ def measure(workload_name: str, ops: int, seed: int) -> dict:
             "faults_per_op": faults / ops, "op_p50_s": statistics.median(times)}
 
 
-def run_fresh(workload_name: str, ops: int, seed: int) -> dict:
+def run_fresh(workload_name: str, ops: int) -> dict:
     """measure() in a new interpreter; returns its result."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--child", workload_name,
-           "--ops", str(ops), "--seed", str(seed)]
+           "--ops", str(ops)]
     proc = subprocess.run(cmd, cwd=ROOT, env={**os.environ, **CHILD_ENV},
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -72,7 +73,6 @@ def main(argv=None) -> int:
     names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ops", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeatable; default: BENCHMARK.json's")
     parser.add_argument("--child", choices=names, help=argparse.SUPPRESS)
@@ -80,11 +80,11 @@ def main(argv=None) -> int:
     if args.ops < 1:
         parser.error("--ops must be >= 1")
     if args.child:
-        print(json.dumps(measure(args.child, args.ops, args.seed)))
+        print(json.dumps(measure(args.child, args.ops)))
         return 0
     print(f"{'workload':<20} {'faults/op':>10} {'p50 ms':>9} {'ops':>5}")
     for name in args.workload or names:
-        result = run_fresh(name, args.ops, args.seed)
+        result = run_fresh(name, args.ops)
         print(f"{name:<20} {result['faults_per_op']:>10.1f} "
               f"{result['op_p50_s'] * 1e3:>9.3f} {result['ops']:>5}", flush=True)
     return 0
