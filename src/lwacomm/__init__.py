@@ -24,7 +24,6 @@ from .optimizer import (
 from .mimo import (
     UlaGeometry,
     build_mimo_channel,
-    mimo_spectrum,
     mimo_sum_rate,
 )
 from .experiments import (

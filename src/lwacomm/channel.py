@@ -23,28 +23,23 @@ GAINS_BLOCK_ENTRIES = 2**15
 
 
 class FrequencyGrid:
-    """Ordered center frequencies of the N subbands, in Hz."""
+    """Centers of n equal-width subbands covering [f_low, f_high], in Hz.
+
+    Raises ValueError unless 0 < f_low < f_high and n is an integer >= 1,
+    or if the centers are not finite and strictly increasing (a band too
+    narrow for n distinct centers)."""
 
     __slots__ = ("frequencies",)
 
-    def __init__(self, frequencies: np.ndarray) -> None:
-        self.frequencies = freqs = np.asarray(frequencies, dtype=float)
-        if freqs.ndim != 1 or freqs.size < 1:
-            raise ValueError("need at least one frequency")
-        if not np.all(np.isfinite(freqs)) or np.any(freqs <= 0):
-            raise ValueError("frequencies must be finite and positive")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
-
-    @classmethod
-    def subband_centers(cls, f_low: float, f_high: float, n: int) -> "FrequencyGrid":
-        """Centers of n equal-width bins covering [f_low, f_high]."""
+    def __init__(self, f_low: float, f_high: float, n: int) -> None:
         if not (0 < f_low < f_high):
-            raise ValueError("need 0 < f_low < f_high")
+            raise ValueError("the band must satisfy 0 < f_low < f_high")
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"need an integer bin count n >= 1, got {n!r}")
         width = (f_high - f_low) / n
-        return cls(f_low + width * (np.arange(n) + 0.5))
+        self.frequencies = freqs = f_low + width * (np.arange(n) + 0.5)
+        if not np.all(np.isfinite(freqs)) or np.any(np.diff(freqs) <= 0):
+            raise ValueError("subband centers must be finite and strictly increasing")
 
     @property
     def num_subbands(self) -> int:

@@ -118,9 +118,7 @@ class ScenarioConfig:
             raise ConfigError("seed must fit in 64 bits")
 
     def frequency_grid(self) -> FrequencyGrid:
-        return FrequencyGrid.subband_centers(
-            self.f_low_hz, self.f_high_hz, self.num_subbands
-        )
+        return FrequencyGrid(self.f_low_hz, self.f_high_hz, self.num_subbands)
 
     def search_grids(self) -> SearchGrids:
         return SearchGrids(

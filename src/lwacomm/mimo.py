@@ -14,13 +14,13 @@ frequency, so the largest is 1/d_min, known before any entry is made; the
 entries are made times d_min, with a largest magnitude of 1, and each Gram
 is formed from them as made, with no pass over the entries for their
 magnitudes.
-The entries are physics.phasor_rows over the evenly spaced subband centers,
-one complex multiply per entry, anchored on the direct phasor every
-ANCHOR_STRIDE subbands; one recurrence runs through every block, so the
-pass takes one direct phasor row per anchor. Each entry lies within 4 Phi_max
-eps relative of its exact value (Phi_max = 2 pi f_max d_max / c, the
-largest phase), the same bound the direct exp meets, since rounding the
-phase argument already costs it about Phi_max eps.
+The entries are physics.phasor_rows over the subband centers, evenly spaced
+as FrequencyGrid makes them, one complex multiply per entry, anchored on
+the direct phasor every ANCHOR_STRIDE subbands; one recurrence runs through
+every block, so the pass takes one direct phasor row per anchor. Each entry
+lies within 4 Phi_max eps relative of its exact value (Phi_max = 2 pi f_max
+d_max / c, the largest phase), the same bound the direct exp meets, since
+rounding the phase argument already costs it about Phi_max eps.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .channel import FrequencyGrid, NoiseModel, UserSet, rate_bits
 from .optimizer import waterfill
-from .physics import SPEED_OF_LIGHT, _phasor, even_spacing, phasor_rows
+from .physics import SPEED_OF_LIGHT, _phasor, phasor_rows
 
 # Relative accuracy asked of every Gram eigenvalue the rate uses. A Gram
 # eigenvalue of an r x r subband carries an absolute error of order
@@ -82,10 +82,11 @@ class _LineOfSight(NamedTuple):
     the nearest element-to-user distance, made in order from subband 0 by
     blocks: the LoS channel scaled to a largest magnitude of 1.
 
-    The subband centers are evenly spaced, f_n = f_a + (n - a) * delta, so
-    the rows are physics.phasor_rows with the step exp(-2j pi delta d_km / c):
-    row n is the direct phasor at n = 0 (mod ANCHOR_STRIDE), times the step
-    n mod ANCHOR_STRIDE times, in that order, whatever the block size."""
+    The subband centers are FrequencyGrid's, evenly spaced: f_n = f_a +
+    (n - a) * delta, delta = (f_{N-1} - f_0) / (N - 1), so the rows are
+    physics.phasor_rows with the step exp(-2j pi delta d_km / c): row n is
+    the direct phasor at n = 0 (mod ANCHOR_STRIDE), times the step n mod
+    ANCHOR_STRIDE times, in that order, whatever the block size."""
 
     dist: np.ndarray
     freqs: np.ndarray
@@ -98,7 +99,7 @@ class _LineOfSight(NamedTuple):
         """Consecutive blocks of at most rows subbands, from subband 0 to the
         last, each a fresh array."""
         dist, freqs = self.dist, self.freqs
-        spacing = even_spacing(freqs, "the subband centers")
+        spacing = (freqs[-1] - freqs[0]) / max(freqs.size - 1, 1)
         inv_dist = dist.min() / dist
 
         def anchor(n, out):
@@ -131,20 +132,6 @@ class MimoSpectrum(NamedTuple):
         return next(source.blocks(source.shape[0]))
 
 
-def mimo_spectrum(source: _LineOfSight) -> MimoSpectrum:
-    """The spectrum of a built line of sight, read in order by blocks of
-    about GRAM_BLOCK_ENTRIES entries of whole subbands. The entries are at
-    most 1 in magnitude, so no Gram formed from them can overflow."""
-    n, K, M = source.shape
-    step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
-    eigs = np.empty((n, min(K, M)))
-    for start, block in zip(range(0, n, step), source.blocks(step)):
-        if K > M:
-            block = block.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
-        eigs[start : start + step] = np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2))
-    return MimoSpectrum(eigs, source)
-
-
 def build_mimo_channel(
     geometry: UlaGeometry, grid: FrequencyGrid, users: UserSet
 ) -> MimoSpectrum:
@@ -152,12 +139,11 @@ def build_mimo_channel(
     held times d_min, so that its largest |entry| is 1.
 
     d_km is the element-to-user Euclidean distance, so near-field curvature
-    is captured. Users must lie outside the array (range > aperture/2), and
-    the subband centers must be evenly spaced, as FrequencyGrid.subband_centers
-    makes them: every f_n within SPACING_TOL * eps * f_max of f_0 + n * delta
-    (physics.even_spacing). ValueError is raised otherwise. The spectrum is
-    read here, in one pass over blocks of subbands; the N x K x M entries
-    are never held at once, and .entries rebuilds them.
+    is captured. Users must lie outside the array (range > aperture/2), or
+    ValueError is raised. The spectrum is read here, in one pass over blocks
+    of about GRAM_BLOCK_ENTRIES entries of whole subbands; the N x K x M
+    entries are never held at once, and .entries rebuilds them. The entries
+    are at most 1 in magnitude, so no Gram formed from them can overflow.
     """
     if np.any(users.ranges_m <= geometry.aperture_m / 2.0):
         raise ValueError("user ranges must exceed half the array aperture")
@@ -166,7 +152,15 @@ def build_mimo_channel(
     uy = users.ranges_m * np.sin(users.angles_rad)
     pos = geometry.element_positions
     dist = np.sqrt((ux[:, None] - pos[None, :]) ** 2 + uy[:, None] ** 2)  # K x M
-    return mimo_spectrum(_LineOfSight(dist, grid.frequencies))
+    source = _LineOfSight(dist, grid.frequencies)
+    n, K, M = source.shape
+    step = max(1, GRAM_BLOCK_ENTRIES // (K * M))
+    eigs = np.empty((n, min(K, M)))
+    for start, block in zip(range(0, n, step), source.blocks(step)):
+        if K > M:
+            block = block.swapaxes(-1, -2)  # H^T conj(H) = conj(H^H H), same eigenvalues
+        eigs[start : start + step] = np.linalg.eigvalsh(block @ block.conj().swapaxes(-1, -2))
+    return MimoSpectrum(eigs, source)
 
 
 def _pooled_rate(pooled: np.ndarray, budget_P: float, noise: NoiseModel):

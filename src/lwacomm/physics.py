@@ -67,9 +67,9 @@ _SINC_SERIES_CUTOFF = 1e-6
 # Slit rows from one exact anchor cos(z) + i sin(z) to the next: the default
 # 21-slit grid takes a single anchor.
 SLIT_ANCHOR_STRIDE = 32
-# How far, in eps * max|v|, a value of an evenly spaced column (slit lengths,
-# subband centers) may lie off the line through its first and last: linspace
-# and subband_centers rounding leave at most about 2.
+# How far, in eps * max|v|, a value of an evenly spaced column may lie off the
+# line through its first and last: linspace rounding leaves at most about 2,
+# and so does FrequencyGrid, whose centers the MIMO line of sight trusts.
 SPACING_TOL = 4.0
 
 
@@ -101,17 +101,17 @@ class LwaConfig:
         return SPEED_OF_LIGHT / (2.0 * self.plate_separation_b)
 
 
-def even_spacing(values: np.ndarray, what: str) -> float:
-    """The step (v[-1] - v[0]) / (n - 1) of a 1-D array of n values, 0 for
-    fewer than two. Raises ValueError("<what> must be evenly spaced") unless
-    every value lies within SPACING_TOL * eps * max|v| of v[0] + i * step."""
+def even_spacing(values: np.ndarray) -> float:
+    """The step (v[-1] - v[0]) / (n - 1) of a 1-D array of n values, a slit
+    column, 0 for fewer than two. Raises ValueError unless every value lies
+    within SPACING_TOL * eps * max|v| of v[0] + i * step."""
     if values.size < 2:
         return 0.0
     n = np.arange(values.size)
     step = (values[-1] - values[0]) / (values.size - 1)
     off_line = np.abs(values - (values[0] + n * step))
     if np.any(off_line > SPACING_TOL * np.finfo(float).eps * np.abs(values).max()):
-        raise ValueError(f"{what} must be evenly spaced")
+        raise ValueError("the slit lengths must be evenly spaced")
     return step
 
 
@@ -217,7 +217,7 @@ def diffraction_gain_grid(
     sines = None
     if np.ndim(slits):  # a (J, 1, 1) column: sin(z_j) is the phasor rows' .imag
         z_rows = np.moveaxis(z, -3, 0)
-        spacing = even_spacing(np.ravel(slits), "the slit lengths")
+        spacing = even_spacing(np.ravel(slits))
         step = np.reshape(w * (spacing / 2.0), z_rows.shape[1:])
 
         def sines(out):

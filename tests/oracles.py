@@ -17,10 +17,12 @@ with each subband scaled by its own largest part, the unit-peak MIMO tensor
 from one broadcast expression, and the diffraction gain grid
 evaluated in complex arithmetic throughout. It also states, per slit row,
 how far physics.py's recurrence may take the gain and ||h_n||^2 from the
-direct evaluation, by the bound physics.py derives.
+direct evaluation, by the bound physics.py derives, and gives the memory
+tests traced_peak, the tracemalloc peak of one call.
 """
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -41,6 +43,18 @@ from lwacomm.physics import (
 
 C_MPF = mp.mpf(299792458)
 EPS = np.finfo(float).eps
+
+
+def traced_peak(call, *args):
+    """call(*args) and the peak of the memory tracemalloc traced during it,
+    in bytes: (result, peak)."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def slit_gain_bound(slits) -> np.ndarray:

@@ -1,10 +1,9 @@
 import math
-import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lwacomm.channel import (
     FrequencyGrid,
@@ -24,10 +23,11 @@ from oracles import (
     reference_mimo_spectrum,
     simplex_grid_best_rate,
     svd_mimo_rate,
+    traced_peak,
 )
 
 NOISE = NoiseModel(1.0)
-GRID = FrequencyGrid.subband_centers(200e9, 800e9, 4)
+GRID = FrequencyGrid(200e9, 800e9, 4)
 USERS = UserSet(np.array([0.4, 0.9]), np.array([12.0, 17.0]))
 ULA8 = UlaGeometry(8, 500e9)
 CONFIGS = [ScenarioConfig(), ScenarioConfig(num_subbands=256, num_users=32, mimo_elements=256)]
@@ -200,13 +200,8 @@ class TestLineOfSightSource:
         for blocks, whole in zip(zip(*pairs), wholes):
             assert np.array_equal(np.concatenate(blocks), whole)
 
-    def test_uneven_grid_rejected(self):
-        grid = FrequencyGrid(np.array([200e9, 300e9, 500e9]))
-        with pytest.raises(ValueError, match="evenly spaced"):
-            build_mimo_channel(ULA8, grid, USERS)
-
     def test_single_subband_is_the_direct_exp(self):
-        grid = FrequencyGrid(np.array([450e9]))
+        grid = FrequencyGrid(400e9, 500e9, 1)  # one subband, centered on 450 GHz
         spectrum = build_mimo_channel(ULA8, grid, USERS)
         assert spectrum.eigenvalues.shape == (1, 2)
         assert np.array_equal(spectrum.entries, reference_mimo_entries(ULA8, grid, USERS))
@@ -217,11 +212,20 @@ class TestLineOfSightSource:
         width=st.floats(1e-12, 1e3),
         n=st.integers(1, 5000),
     )
+    # the domain's corners, each of which builds: one subband on the narrowest
+    # band, the most subbands, and the highest band
+    @example(f_low=1e3, width=1e-12, n=1)
+    @example(f_low=200e9, width=3.0, n=5000)
+    @example(f_low=1e15, width=1e3, n=40)
     def test_every_subband_centers_grid_builds(self, f_low, width, n):
+        # the line of sight steps along the centers without checking them:
+        # every grid that builds must pass the slit column's spacing check
         try:
-            grid = FrequencyGrid.subband_centers(f_low, f_low * (1.0 + width), n)
+            grid = FrequencyGrid(f_low, f_low * (1.0 + width), n)
         except ValueError:  # too narrow for n distinct centers
             return
+        freqs = grid.frequencies
+        assert physics.even_spacing(freqs) == (freqs[-1] - freqs[0]) / max(n - 1, 1)
         spectrum = build_mimo_channel(UlaGeometry(1, 500e9), grid, USERS)
         assert spectrum.eigenvalues.shape == (n, 1)
 
@@ -455,7 +459,7 @@ class TestSumRate:
 
     def test_monotone_in_elements_statistically(self):
         rng = np.random.default_rng(2024)
-        grid = FrequencyGrid.subband_centers(200e9, 800e9, 8)
+        grid = FrequencyGrid(200e9, 800e9, 8)
         target = lwa_peak(grid, UserSet(np.array([0.4, 0.9]), np.array([12.0, 17.0])))
         wins = 0
         trials = 50
@@ -481,13 +485,12 @@ class TestSpectrumMemory:
         grid = config.frequency_grid()
         target = lwa_peak(grid, users)
         ula = config.ula()
-        tracemalloc.start()
-        try:
+
+        def build_and_rate():
             spectrum = build_mimo_channel(ula, grid, users)
-            rate = mimo_sum_rate(spectrum, target, config.power_budget, NOISE)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            return mimo_sum_rate(spectrum, target, config.power_budget, NOISE)
+
+        rate, peak = traced_peak(build_and_rate)
         assert rate > 0
         assert peak < 256 * 32 * 256 * 16 / 8, f"peak {peak / 2**20:.2f} MiB"
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,12 @@ from lwacomm.optimizer import (
 )
 from lwacomm.physics import LwaConfig, SPEED_OF_LIGHT
 
-from oracles import channel_gains_squared, exact_waterfill, simplex_grid_best_rate
+from oracles import (
+    channel_gains_squared,
+    exact_waterfill,
+    simplex_grid_best_rate,
+    traced_peak,
+)
 
 NOISE = NoiseModel(1.0)
 LOSS = InverseRangeLoss()
@@ -79,8 +83,9 @@ class TestWaterfill:
             waterfill([0.0, 0.0], 1.0, NOISE)
 
     def test_budget_validation(self):
+        # waterfill's own check, before any PowerAllocation is built
         for budget in (0.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^budget_P must be finite"):
                 waterfill([1.0], budget, NOISE)
 
     def test_nan_gain_rejected(self):
@@ -169,7 +174,7 @@ class TestWaterfill:
 
 
 def make_draw(n_sub=4, users=None):
-    grid = FrequencyGrid.subband_centers(200e9, 800e9, n_sub)
+    grid = FrequencyGrid(200e9, 800e9, n_sub)
     if users is None:
         users = UserSet(np.array([0.35, 0.8]), np.array([10.0, 15.0]))
     return grid, users
@@ -199,7 +204,7 @@ class TestGridSearch:
 
     def test_peak_geometry_wins(self):
         # put one user exactly on the beam of subband 0 for b = 1.0 mm
-        grid = FrequencyGrid.subband_centers(200e9, 800e9, 4)
+        grid = FrequencyGrid(200e9, 800e9, 4)
         angle = math.asin(SPEED_OF_LIGHT / (2 * 1e-3 * grid.frequencies[0]))
         users = UserSet(np.array([angle]), np.array([10.0]))
         grids = bounded_grids(5, 5)
@@ -215,7 +220,7 @@ class TestGridSearch:
 
     def test_all_zero_tie_breaks_to_first_pair(self):
         # band entirely below cutoff for every candidate b: all gains zero
-        grid = FrequencyGrid.subband_centers(50e9, 100e9, 3)
+        grid = FrequencyGrid(50e9, 100e9, 3)
         users = UserSet(np.array([0.5]), np.array([10.0]))
         grids = bounded_grids(3, 3)
         powers = PowerAllocation.uniform(3, 10.0)
@@ -282,14 +287,20 @@ class TestGridSearch:
         gains = np.random.default_rng(3).uniform(0.0, 0.1, (21, 21, 40))
         grids, powers = bounded_grids(21, 21), PowerAllocation.uniform(40, 10.0)
         want = grid_search_geometry(grids, powers, gains, NOISE)
-        tracemalloc.start()
-        try:
-            got = grid_search_geometry(grids, powers, gains, NOISE)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(grid_search_geometry, grids, powers, gains, NOISE)
         keys = (peak - np.getbufsize() * gains.itemsize) / gains.nbytes
         assert got == want and keys <= 1.5, f"peak {keys:.2f} keys besides the ufunc buffer"
+
+    def test_powers_weight_the_key(self):
+        # weighted by the powers (10, 0.1), B = (1, 0.5) has the larger rate;
+        # unweighted, A = (0.1, 10) has the larger sum of log1p(g)
+        grids = SearchGrids(np.array([1e-3]), np.array([10e-3, 20e-3]))
+        gains = np.array([[[0.1, 10.0], [1.0, 0.5]]])
+        powers = PowerAllocation(np.array([10.0, 0.1]), 10.1)
+        rates = [rate_bits(powers.powers, g, NOISE, 2) for g in gains[0]]
+        assert rates[1] > rates[0]
+        assert np.sum(np.log1p(gains[0, 0])) > np.sum(np.log1p(gains[0, 1]))
+        assert grid_search_geometry(grids, powers, gains, NOISE) == (0, 1)
 
     def test_gains_must_match_grids(self):
         grids = bounded_grids(3, 2)
@@ -430,6 +441,11 @@ class TestPowerAllocation:
             PowerAllocation(np.array([0.6, 0.6]), 1.0)
         with pytest.raises(ValueError):
             PowerAllocation(np.array([0.5]), 0.0)
+        with pytest.raises(ValueError, match="total_budget_P must be finite and > 0"):
+            PowerAllocation(np.zeros(1), 0.0)
+        # the rounding allowance includes its edge
+        edge = 1.0 * (1.0 + BUDGET_RTOL)
+        assert PowerAllocation(np.array([edge]), 1.0).powers[0] == edge
 
     @pytest.mark.parametrize(
         "powers, budget",
@@ -443,6 +459,8 @@ class TestPowerAllocation:
     def test_uniform(self):
         alloc = PowerAllocation.uniform(4, 10.0)
         np.testing.assert_allclose(alloc.powers, 2.5)
+        tiny = np.finfo(float).smallest_normal  # the smallest share that is not subnormal
+        assert PowerAllocation.uniform(1, tiny).powers[0] == tiny
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, True, "3"])
     def test_uniform_rejects_an_empty_count(self, n):
@@ -456,6 +474,11 @@ class TestPowerAllocation:
         with pytest.raises(ValueError, match="subnormal share"):
             PowerAllocation.uniform(n, budget)
         assert PowerAllocation.uniform(n, n * 2.3e-308).powers.sum() > 0
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_uniform_rejects_a_budget_that_is_not_positive(self, budget):
+        with pytest.raises(ValueError, match="total_budget_P must be finite and > 0"):
+            PowerAllocation.uniform(4, budget)
 
     def test_search_grid_validation(self):
         with pytest.raises(ValueError):
