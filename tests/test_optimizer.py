@@ -104,6 +104,14 @@ class TestWaterfill:
         alloc = waterfill(gains, 1.0, NOISE)
         np.testing.assert_allclose(alloc.powers, expected, rtol=1e-12)
 
+    def test_floors_at_the_budget_are_left_out_of_the_count(self):
+        # four floors exactly at the budget: k f_(k) - S_k rounds below it at
+        # k = 4 and 5, so counting them would give K = 3 instead of 1
+        gains = np.array([1.0] + [0.3848990962763607] * 4)
+        budget = 1.0 / gains[1] - 1.0  # the shifted floor itself
+        alloc = waterfill(gains, budget, NOISE)
+        assert alloc.powers.tolist() == [budget, 0.0, 0.0, 0.0, 0.0]
+
     def test_rounding_of_floors_keeps_the_budget(self):
         # MIMO pool of a config with range_max_m = 1e150: floors ~1e297 that
         # differ in their last bits, and a budget of 10

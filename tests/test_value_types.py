@@ -16,13 +16,14 @@ from lwacomm.mimo import MimoSpectrum, UlaGeometry, _LineOfSight
 from lwacomm.optimizer import AllocationResult, PowerAllocation, SearchGrids, TraceRecord
 from lwacomm.physics import LwaConfig
 
-# the fields of the types whose fields are not their arguments
+# the fields of the types that are not built from their own fields
 HELD = {FrequencyGrid: {"frequencies": np.array([3e11, 5e11])}}
 ALLOCATION = PowerAllocation(np.array([0.25, 0.75]), 1.0)
 TRACE = (TraceRecord(1, 1e-3, 0.02, 1.5), TraceRecord(2, 1e-3, 0.02, 1.5))
 SWEEP_POINT = SweepPoint(0.0, 1.5, 0.25, 3.0, 0.5, 4)
 
-# (type, its fields in order with a valid value each)
+# (type, its arguments in order with a valid value each: its fields, but
+# for the types in HELD)
 VALUE_TYPES = [
     (LwaConfig, {"plate_separation_b": 1e-3, "slit_length_L": 0.02}),
     (FrequencyGrid, {"f_low": 2e11, "f_high": 6e11, "n": 2}),
