@@ -15,11 +15,6 @@ import numpy as np
 from .physics import LwaConfig, diffraction_gain_grid
 
 BEAMPATTERN_FLOOR = -300.0  # log10 value reported where the energy sum is zero
-# Most gain entries geometry_gains_squared evaluates in one call, counted
-# for one user: 39 b rows of the default 21 x 40 grid, so the default and
-# wide-band grids each take one block. Blocks of 2^13 to 2^16 entries ran
-# equally fast; larger ones only hold more memory.
-GAINS_BLOCK_ENTRIES = 2**15
 
 
 class FrequencyGrid:
@@ -110,19 +105,17 @@ def geometry_gains_squared(
     The norms are evaluated once per distinct slit length, over the column
     np.unique(L_grid) of those lengths in increasing order, so rows of L_grid
     that repeat a length are equal. That column must be evenly spaced, as
-    linspace makes it (physics.even_spacing); ValueError is raised
-    otherwise. Entry [i, j] is the ||h_n||^2 that average_sum_rate takes
-    from the channel h = build_channel(LwaConfig(b_grid[i], L_grid[j]), grid,
-    users, loss): bitwise where L_grid[j] sits on an anchor row of that
-    column (its place 0 mod SLIT_ANCHOR_STRIDE), and within the slit
-    recurrence's bound of physics.py elsewhere, (2 R + K + 3) eps sum_k
-    Gamma_k^2 for the row's gain bound R eps. Subbands below that geometry's
-    cutoff are exactly zero. Both add the users in order, k = 0, 1, ...,
-    K-1. The b rows go in blocks of
-    at most GAINS_BLOCK_ENTRIES entries per user (at least one row). In
-    each block, one diffraction_gain_grid call per user gives its
-    contiguous (rows, L, N) gains, which are scaled and squared in place
-    and added to the block: no earlier user's term but the last is held
+    linspace makes it: LwaConfig raises ValueError otherwise. Entry [i, j]
+    is the ||h_n||^2 that average_sum_rate takes from the channel h =
+    build_channel(LwaConfig(b_grid[i], L_grid[j]), grid, users, loss):
+    bitwise where L_grid[j] sits on an anchor row of that column (its place
+    0 mod SLIT_ANCHOR_STRIDE), and within the slit recurrence's bound of
+    physics.py elsewhere, (2 R + K + 3) eps sum_k Gamma_k^2 for the row's
+    gain bound R eps. Subbands below that geometry's cutoff are exactly
+    zero. Both add the users in order, k = 0, 1, ..., K-1. One LwaConfig
+    holds the whole grid, and one diffraction_gain_grid call per user gives
+    its contiguous (B, L, N) gains, which are scaled and squared in place
+    and added to the output: no earlier user's term but the last is held
     while the next is computed. The norms do not depend on the powers: one
     array per user draw serves every step of the alternating optimization.
     Raises ValueError if either grid is empty.
@@ -132,19 +125,15 @@ def geometry_gains_squared(
     if b_grid.size == 0 or L_grid.size == 0:
         raise ValueError("grids must be non-empty")
     lengths, rows_of_L = np.unique(L_grid, return_inverse=True)
-    slits = lengths[:, None, None]
+    config = LwaConfig(b_grid[:, None, None], lengths[:, None, None])
     freqs = grid.frequencies
     gamma = loss.evaluate(users.ranges_m)
     angles = users.angles_rad
-    out = np.zeros((b_grid.size, slits.shape[0], freqs.size))
-    rows = max(1, GAINS_BLOCK_ENTRIES // (slits.shape[0] * freqs.size))
-    for start in range(0, b_grid.size, rows):
-        config = LwaConfig(b_grid[start:start + rows, None, None], slits)
-        block = out[start:start + rows]
-        for k in range(angles.size):
-            term = diffraction_gain_grid(config, angles[k:k + 1], freqs)[..., 0]
-            term *= gamma[k]
-            block += np.square(term, out=term)  # the gain is real: |x|^2 = x*x bitwise
+    out = np.zeros((b_grid.size, lengths.size, freqs.size))
+    for k in range(angles.size):
+        term = diffraction_gain_grid(config, angles[k:k + 1], freqs)[..., 0]
+        term *= gamma[k]
+        out += np.square(term, out=term)  # the gain is real: |x|^2 = x*x bitwise
     return out if np.array_equal(lengths, L_grid) else out[:, rows_of_L]
 
 

@@ -152,6 +152,8 @@ def grid_search_geometry(
     grids.L_grid[j]). Returns the indices (i, j) of the geometry with the
     largest rate_bits. Ties break to the smallest b, then smallest L (the
     first maximum in b-major order), so the result is deterministic.
+    Raises FloatingPointError, as rate_bits does, if the best key is not
+    finite (an infinite gain).
     """
     if gains.shape[:2] != (grids.b_grid.size, grids.L_grid.size):
         raise ValueError(f"gains of shape {gains.shape} do not match the search grids")
@@ -165,6 +167,8 @@ def grid_search_geometry(
     key *= powers[on] / noise.variance_sigma2
     key = np.log1p(key, out=key).sum(axis=-1)
     best = int(np.argmax(key))
+    if not math.isfinite(key.flat[best]):
+        raise FloatingPointError(f"the sum rate is not finite: {key.flat[best]}")
     # The key's sum rounds otherwise than rate_bits' fsum, so the geometries
     # within NEAR_TIE_RTOL of the best key are ranked again by rate_bits.
     n = gains.shape[-1]

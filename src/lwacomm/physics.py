@@ -15,7 +15,8 @@ z = 0): a freed full-size array is memory the allocator may hand back to
 the system and fault in again on the next call.
 
 A slit column must be evenly spaced: every L_j within SPACING_TOL eps
-max|L| of L_0 + j delta (even_spacing), or ValueError is raised. Along it the
+max|L| of L_0 + j delta (even_spacing). LwaConfig checks that once, when it
+is built, raising ValueError otherwise, and keeps delta. Along it the
 sinc argument z_j = w L_j / 2, with w = beta - k0 cos(phi), is linear in j.
 So sin(z_j) is the imaginary part of a phasor that advances by one complex
 multiply per row, with an exact anchor cos(z_j) + i sin(z_j) every
@@ -79,21 +80,24 @@ class LwaConfig:
     slit_length_L may be a (J, 1, 1) array of evenly spaced slit lengths,
     for which diffraction_gain_grid returns one gain grid per slit, and
     plate_separation_b a (B, 1, 1) array, for which it returns one such
-    (J, N, K) block per b. Every field must be finite. The column's spacing
-    is checked when the gain is evaluated, not here.
+    (J, N, K) block per b. Raises ValueError unless every field is finite
+    and > 0 and the slit lengths are evenly spaced (even_spacing).
+    slit_step holds their step, 0.0 for a single length, which
+    diffraction_gain_grid trusts.
     """
 
-    __slots__ = ("plate_separation_b", "slit_length_L")
+    __slots__ = ("plate_separation_b", "slit_length_L", "slit_step")
 
     def __init__(
         self, plate_separation_b: float | np.ndarray, slit_length_L: float | np.ndarray
     ) -> None:
         self.plate_separation_b = plate_separation_b
         self.slit_length_L = slit_length_L
-        for name in self.__slots__:
+        for name in ("plate_separation_b", "slit_length_L"):
             value = getattr(self, name)
             if not np.all(np.isfinite(value)) or np.any(value <= 0):
                 raise ValueError(f"{name} must be finite and > 0")
+        self.slit_step = even_spacing(np.ravel(slit_length_L))
 
     @property
     def cutoff_frequency(self) -> float:
@@ -190,15 +194,15 @@ def diffraction_gain_grid(
     gain is float64. Below the cutoff c/(2b) the guided mode is evanescent
     and radiates nothing: those frequencies get a gain of exactly 0.
 
-    A scalar slit length takes sin directly. A slit column must be evenly
-    spaced, every L_j within SPACING_TOL * eps * max|L| of L_0 + j * delta,
-    as linspace makes it; along it sin comes from the phasor recurrence of
-    the module docstring. Its anchor rows (j = 0 mod SLIT_ANCHOR_STRIDE)
-    equal the gain evaluated with that slit length alone, bitwise, and the
-    other rows lie within the recurrence's bound of it, so rows that repeat
-    a slit length may differ in their last bits (geometry_gains_squared
-    evaluates each distinct length once). Raises ValueError unless every
-    frequency is finite and > 0, or if a slit column is not evenly spaced.
+    A scalar slit length takes sin directly. Along a slit column, whose
+    even spacing LwaConfig checked and whose step config.slit_step is
+    trusted here, sin comes from the phasor recurrence of the module
+    docstring. Its anchor rows (j = 0 mod SLIT_ANCHOR_STRIDE) equal the gain
+    evaluated with that slit length alone, bitwise, and the other rows lie
+    within the recurrence's bound of it, so rows that repeat a slit length
+    may differ in their last bits (geometry_gains_squared evaluates each
+    distinct length once). Raises ValueError unless every frequency is
+    finite and > 0.
     """
     angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
@@ -217,8 +221,7 @@ def diffraction_gain_grid(
     sines = None
     if np.ndim(slits):  # a (J, 1, 1) column: sin(z_j) is the phasor rows' .imag
         z_rows = np.moveaxis(z, -3, 0)
-        spacing = even_spacing(np.ravel(slits))
-        step = np.reshape(w * (spacing / 2.0), z_rows.shape[1:])
+        step = np.reshape(w * (config.slit_step / 2.0), z_rows.shape[1:])
 
         def sines(out):
             rows = phasor_rows(lambda j, row: _phasor(z_rows[j], row), step,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lwacomm import channel, experiments
+from lwacomm import channel, experiments, physics
 from lwacomm.channel import (
     BEAMPATTERN_FLOOR,
     FrequencyGrid,
@@ -132,17 +132,10 @@ class TestBuildChannel:
                 summed = np.stack([np.sum(np.abs(point) ** 2, axis=1) for point in points])
                 assert_rows_within(gains2[i], summed, bound, axis=0)
 
-    # a block limit below one b row gives seven one-row blocks; one just
-    # above three rows gives blocks of 3, 3 and 1. Each block makes one
-    # gain call per user, in user order.
-    @pytest.mark.parametrize("block_rows, blocks", [(0, 7), (3, 3)])
+    # one gain call per user, in user order, each over the whole 7 x 3 grid
     @pytest.mark.parametrize("num_users", USER_COUNTS)
-    def test_gains_blocks_match_per_point_channels(
-        self, num_users, block_rows, blocks, monkeypatch
-    ):
+    def test_one_gain_call_per_user_over_the_whole_grid(self, num_users, monkeypatch):
         b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
-        row_entries = len(L_grid) * grid.num_subbands  # per user
-        monkeypatch.setattr(channel, "GAINS_BLOCK_ENTRIES", block_rows * row_entries + 1)
         calls = []
         gain_grid = channel.diffraction_gain_grid
         with monkeypatch.context() as spy:
@@ -150,15 +143,24 @@ class TestBuildChannel:
                 channel,
                 "diffraction_gain_grid",
                 lambda config, angles, freqs: calls.append(
-                    (len(config.plate_separation_b), *angles)
+                    (len(config.plate_separation_b), len(config.slit_length_L), *angles)
                 ) or gain_grid(config, angles, freqs),
             )
             gains2 = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
-        rows = max(1, block_rows)
-        sizes = [min(rows, len(b_grid) - start) for start in range(0, len(b_grid), rows)]
-        assert len(sizes) == blocks
-        assert calls == [(size, angle) for size in sizes for angle in users.angles_rad]
+        assert calls == [(7, 3, angle) for angle in users.angles_rad]
         self._assert_per_point_match(gains2, b_grid, L_grid, grid, users)
+
+    def test_slit_column_spacing_checked_once(self, monkeypatch):
+        # LwaConfig checks the column when it is built; the K gain calls
+        # trust its step
+        b_grid, L_grid, grid, users = self._sub_cutoff_grid(4)
+        checked = []
+        even_spacing = physics.even_spacing
+        monkeypatch.setattr(
+            physics, "even_spacing", lambda values: checked.append(values.size) or even_spacing(values)
+        )
+        geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+        assert checked == [3]
 
     def test_repeated_slit_lengths_share_one_row(self):
         # linspace over one ulp repeats two values: the rows of one value are
@@ -246,14 +248,21 @@ class TestUserSum:
 
     def test_default_grid_peak_is_a_few_user_arrays(self):
         # a gain call holds z and its result, which takes |z|, sin(z) and the
-        # gain in turn, while the output and the last user's term are alive
-        config = experiments.ScenarioConfig(seed=1)
-        users, grid = experiments.sample_users(config, 0), config.frequency_grid()
-        b_grid, L_grid = np.linspace(0.9e-3, 1.1e-3, 21), np.linspace(10e-3, 50e-3, 21)
-        one_user = 21 * 21 * grid.num_subbands * 8
-        geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
-        _, peak = traced_peak(geometry_gains_squared, b_grid, L_grid, grid, users, LOSS)
-        assert peak <= 5 * one_user, f"peak {peak / one_user:.2f} one-user arrays"
+        # gain in turn, while the output and the last user's term are alive.
+        # The default grid, and a 101 x 41 one over 64 subbands, which is
+        # one gain call per user as well: the whole grid at once
+        for b_points, L_points, num_subbands in [(21, 21, 40), (101, 41, 64)]:
+            config = experiments.ScenarioConfig(
+                seed=1, b_grid_points=b_points, slit_grid_points=L_points,
+                num_subbands=num_subbands,
+            )
+            users, grid = experiments.sample_users(config, 0), config.frequency_grid()
+            grids = config.search_grids()
+            one_user = b_points * L_points * num_subbands * 8
+            args = grids.b_grid, grids.L_grid, grid, users, LOSS
+            geometry_gains_squared(*args)
+            _, peak = traced_peak(geometry_gains_squared, *args)
+            assert peak <= 5 * one_user, f"peak {peak / one_user:.2f} one-user arrays"
 
 
 class TestRates:
@@ -268,6 +277,9 @@ class TestRates:
     def test_zero_power_is_zero(self):
         channel = self._one_subband([0.3, 0.5j])
         assert average_sum_rate(channel, [0.0], NOISE) == 0.0
+
+    def test_takes_a_nested_list(self):
+        assert average_sum_rate([[1.0, 1.0, 1.0]], [1.0], NOISE) == 2.0
 
     def test_gain_three_is_two_bits(self):
         channel = self._one_subband([1.0, 1.0, 1.0])  # ||h||^2 = 3
@@ -486,6 +498,12 @@ class TestBeampattern:
         with pytest.raises(ValueError):
             beampattern(self.CFG, self.GRID, [1.0] * 4, LOSS, np.array([]), self.RANGES)
 
+    def test_takes_lists(self):
+        powers = [1.0, 0.0, 2.0, 0.5]
+        m = beampattern(self.CFG, self.GRID, powers, LOSS, list(self.ANGLES), list(self.RANGES))
+        want = beampattern(self.CFG, self.GRID, powers, LOSS, self.ANGLES, self.RANGES)
+        assert np.array_equal(m, want)
+
     def test_fine_map_peak_is_one_map_and_its_masks(self):
         # the log is taken in place: no second map, only the einsum's and
         # the floor's masks beside it
@@ -598,8 +616,9 @@ class TestValidation:
                 FrequencyGrid(f_low, f_high, 4)
 
     def test_user_set_invariants(self):
-        with pytest.raises(ValueError):
-            UserSet(np.array([0.5]), np.array([-1.0]))
+        for bad_range in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="ranges must be finite and positive"):
+                UserSet(np.array([0.5]), np.array([bad_range]))
         with pytest.raises(ValueError):
             UserSet(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):

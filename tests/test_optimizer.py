@@ -310,6 +310,17 @@ class TestGridSearch:
         assert np.sum(np.log1p(gains[0, 0])) > np.sum(np.log1p(gains[0, 1]))
         assert grid_search_geometry(grids, powers, gains, NOISE) == (0, 1)
 
+    # one infinite key has no near tie to re-rank, two do: both raise the
+    # error rate_bits gives, before any re-ranking
+    @pytest.mark.parametrize("infinite", [[1], [0, 2]], ids=["one", "two"])
+    def test_an_infinite_best_key_raises(self, infinite):
+        grids = SearchGrids(np.array([1e-3]), np.array([10e-3, 20e-3, 30e-3]))
+        gains = np.ones((1, 3, 2))
+        gains[0, infinite, 0] = np.inf
+        powers = PowerAllocation.uniform(2, 10.0)
+        with pytest.raises(FloatingPointError, match="^the sum rate is not finite: inf$"):
+            grid_search_geometry(grids, powers, gains, NOISE)
+
     def test_gains_must_match_grids(self):
         grids = bounded_grids(3, 2)
         gains = default_gains(bounded_grids(2, 3))

@@ -402,12 +402,15 @@ class TestSlitRecurrence:
         ],
     )
     def test_uneven_slit_column_raises(self, slits):
+        # when the config is built, before any gain is evaluated
         with pytest.raises(ValueError, match="the slit lengths must be evenly spaced"):
-            diffraction_gain_grid(LwaConfig(1e-3, _slit_column(*slits)), ANGLES, BAND)
+            LwaConfig(1e-3, _slit_column(*slits))
 
     def test_spacing_within_tolerance_passes(self):
         slits = [10e-3, 20e-3 + 3 * EPS * 30e-3, 30e-3]
         config = LwaConfig(1e-3, _slit_column(*slits))
+        assert config.slit_step == (30e-3 - 10e-3) / 2
+        assert LwaConfig(1e-3, 20e-3).slit_step == 0.0
         assert diffraction_gain_grid(config, ANGLES, BAND).shape == (3, BAND.size, ANGLES.size)
 
     def test_a_value_exactly_at_the_tolerance_passes(self):
