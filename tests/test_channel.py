@@ -278,12 +278,10 @@ class TestRates:
         channel = self._one_subband([0.3, 0.5j])
         assert average_sum_rate(channel, [0.0], NOISE) == 0.0
 
-    def test_takes_a_nested_list(self):
-        assert average_sum_rate([[1.0, 1.0, 1.0]], [1.0], NOISE) == 2.0
-
     def test_gain_three_is_two_bits(self):
         channel = self._one_subband([1.0, 1.0, 1.0])  # ||h||^2 = 3
         assert average_sum_rate(channel, [1.0], NOISE) == pytest.approx(2.0)
+        assert average_sum_rate([[1.0, 1.0, 1.0]], [1.0], NOISE) == 2.0  # a nested list too
 
     def test_negative_power_rejected(self):
         # -0.5 on a unit gain used to give -1 bit, and -2.0 a nan
