@@ -150,6 +150,39 @@ class TestBuildChannel:
         assert calls == [(7, 3, angle) for angle in users.angles_rad]
         self._assert_per_point_match(gains2, b_grid, L_grid, grid, users)
 
+    # b rows are independent: blocks of rows, as a caller with a memory cap
+    # would take them, give the whole grid's rows bit for bit. Rows below
+    # one give seven one-row blocks; three give blocks of 3, 3 and 1. Each
+    # block makes one gain call per user, in user order.
+    @pytest.mark.parametrize("block_rows, blocks", [(0, 7), (3, 3)])
+    @pytest.mark.parametrize("num_users", USER_COUNTS)
+    def test_gains_blocks_match_per_point_channels(
+        self, num_users, block_rows, blocks, monkeypatch
+    ):
+        b_grid, L_grid, grid, users = self._sub_cutoff_grid(num_users)
+        whole = geometry_gains_squared(b_grid, L_grid, grid, users, LOSS)
+        rows = max(1, block_rows)
+        starts = range(0, len(b_grid), rows)
+        sizes = [min(rows, len(b_grid) - start) for start in starts]
+        assert len(sizes) == blocks
+        calls = []
+        gain_grid = channel.diffraction_gain_grid
+        with monkeypatch.context() as spy:
+            spy.setattr(
+                channel,
+                "diffraction_gain_grid",
+                lambda config, angles, freqs: calls.append(
+                    (len(config.plate_separation_b), *angles)
+                ) or gain_grid(config, angles, freqs),
+            )
+            gains2 = np.concatenate([
+                geometry_gains_squared(b_grid[start:start + rows], L_grid, grid, users, LOSS)
+                for start in starts
+            ])
+        assert calls == [(size, angle) for size in sizes for angle in users.angles_rad]
+        assert np.array_equal(gains2, whole)
+        self._assert_per_point_match(gains2, b_grid, L_grid, grid, users)
+
     def test_slit_column_spacing_checked_once(self, monkeypatch):
         # LwaConfig checks the column when it is built; the K gain calls
         # trust its step
