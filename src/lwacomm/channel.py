@@ -22,7 +22,9 @@ class FrequencyGrid:
 
     Raises ValueError unless 0 < f_low < f_high and n is an integer >= 1,
     or if the centers are not finite and strictly increasing (a band too
-    narrow for n distinct centers)."""
+    narrow for n distinct centers). The MIMO line of sight trusts their
+    spacing, so the centers are read-only, and assigning them raises
+    AttributeError."""
 
     __slots__ = ("frequencies",)
 
@@ -32,9 +34,14 @@ class FrequencyGrid:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"need an integer bin count n >= 1, got {n!r}")
         width = (f_high - f_low) / n
-        self.frequencies = freqs = f_low + width * (np.arange(n) + 0.5)
+        freqs = f_low + width * (np.arange(n) + 0.5)
         if not np.all(np.isfinite(freqs)) or np.any(np.diff(freqs) <= 0):
             raise ValueError("subband centers must be finite and strictly increasing")
+        freqs.flags.writeable = False
+        object.__setattr__(self, "frequencies", freqs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FrequencyGrid is read-only: build a new one to change {name}")
 
     @property
     def num_subbands(self) -> int:

@@ -194,7 +194,8 @@ def alternate_optimize(
     Starts from the uniform allocation P/N and stops as soon as the
     geometry step returns the same (i, j) twice in a row, or after i_max
     iterations. Waterfilling is a pure function of gains[i, j], so a
-    repeated geometry repeats the powers too. Raises FloatingPointError if a
+    repeated geometry repeats the powers and the rate: the last iteration
+    records them without waterfilling again. Raises FloatingPointError if a
     rate is not finite (for example from an infinite gain).
     """
     if isinstance(i_max, bool) or not isinstance(i_max, numbers.Integral) or i_max < 1:
@@ -207,12 +208,13 @@ def alternate_optimize(
     stop_reason = "i_max"
     for it in range(1, i_max + 1):
         i, j = grid_search_geometry(grids, alloc, gains, noise)
+        if prev == (i, j):
+            trace.append(trace[-1]._replace(iteration=it))
+            stop_reason = "fixed_point"
+            break
         alloc = waterfill(gains[i, j], budget_P, noise)
         rate = rate_bits(alloc.powers, gains[i, j], noise, n)
         trace.append(TraceRecord(it, float(grids.b_grid[i]), float(grids.L_grid[j]), rate))
-        if prev == (i, j):
-            stop_reason = "fixed_point"
-            break
         prev = (i, j)
 
     last = trace[-1]

@@ -9,10 +9,13 @@ diffraction_gain_grid is the one way in: the optimizer, the beampattern and
 the LWA peak that scales the MIMO rate all read the gain from it. It is
 pure; LwaConfig is a plain class that checks its fields when it is built.
 It makes two arrays of the gain's size, the argument z and the gain, and
-writes every other full-size step into one of them in place (_sinc; a
-copy of z and a mask are added only when some entry needs the series near
-z = 0): a freed full-size array is memory the allocator may hand back to
-the system and fault in again on the next call.
+writes every other full-size step into one of them in place, in order:
+|z| into the gain, the series test on it, sin(z) over it, times 1/z taken
+into z (how numpy rounds the complex division, so the gain equals the
+complex evaluation bitwise), and the series entries last. A copy of z and
+a mask are added only when some entry needs the series near z = 0. A freed
+full-size array is memory the allocator may hand back to the system and
+fault in again on the next call.
 
 A slit column must be evenly spaced: every L_j within SPACING_TOL eps
 max|L| of L_0 + j delta (even_spacing). LwaConfig checks that once, when it
@@ -83,7 +86,9 @@ class LwaConfig:
     (J, N, K) block per b. Raises ValueError unless every field is finite
     and > 0 and the slit lengths are evenly spaced (even_spacing).
     slit_step holds their step, 0.0 for a single length, which
-    diffraction_gain_grid trusts.
+    diffraction_gain_grid trusts. So a config is read-only: a field is a
+    float or a float64 copy with its writeable flag off, and assigning one
+    raises AttributeError.
     """
 
     __slots__ = ("plate_separation_b", "slit_length_L", "slit_step")
@@ -91,13 +96,17 @@ class LwaConfig:
     def __init__(
         self, plate_separation_b: float | np.ndarray, slit_length_L: float | np.ndarray
     ) -> None:
-        self.plate_separation_b = plate_separation_b
-        self.slit_length_L = slit_length_L
-        for name in ("plate_separation_b", "slit_length_L"):
-            value = getattr(self, name)
+        for name, value in (("plate_separation_b", plate_separation_b),
+                            ("slit_length_L", slit_length_L)):
             if not np.all(np.isfinite(value)) or np.any(value <= 0):
                 raise ValueError(f"{name} must be finite and > 0")
-        self.slit_step = even_spacing(np.ravel(slit_length_L))
+            value = np.array(value, dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value if value.ndim else float(value))
+        object.__setattr__(self, "slit_step", even_spacing(np.ravel(self.slit_length_L)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LwaConfig is read-only: build a new one to change {name}")
 
     @property
     def cutoff_frequency(self) -> float:
@@ -145,37 +154,6 @@ def phasor_rows(anchor, step, count: int, stride: int):
         yield row
 
 
-def _sinc(z: np.ndarray, sines=None) -> np.ndarray:
-    """Unnormalized sinc sin(z)/z of real z, sinc(0) = 1, in a new float64
-    array. z is overwritten: it is the caller's scratch.
-
-    Near zero a 4th-order series keeps the peak numerically exact. sin(z) is
-    multiplied by 1/z: that is how numpy rounds a complex division by a
-    number whose imaginary part is 0, so the result equals the complex
-    evaluation bitwise. |z| is taken into the result as scratch; when no
-    entry needs the series, 1/z is taken into z itself, and only otherwise
-    are the mask of series entries and a copy of z made. sines(out), when
-    given, writes sin(z) into out before z is overwritten; the series
-    entries take no value from it.
-    """
-    out = np.abs(z, out=np.empty(z.shape))
-    # fmin skips NaN, so a NaN entry cannot hide a small one
-    small = None
-    if out.size and np.fmin.reduce(out, axis=None) < _SINC_SERIES_CUTOFF:
-        small = out < _SINC_SERIES_CUTOFF
-    safe = z if small is None else np.where(small, 1.0, z)
-    if sines is None:
-        np.sin(safe, out=out)
-    else:
-        sines(out)
-    out *= np.divide(1.0, safe, out=safe)
-    if small is not None:
-        z_small = z[small]
-        z2 = z_small * z_small
-        out[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return out
-
-
 def diffraction_gain_grid(
     config: LwaConfig, angles: np.ndarray, frequencies: np.ndarray
 ) -> np.ndarray:
@@ -218,17 +196,26 @@ def diffraction_gain_grid(
     w = beta - k0 * np.cos(angles)
     slits = config.slit_length_L
     z = w * (slits / 2.0)
-    sines = None
+    gain = np.abs(z, out=np.empty(z.shape))
+    # fmin skips NaN, so a NaN entry cannot hide a small one
+    small = None
+    if gain.size and np.fmin.reduce(gain, axis=None) < _SINC_SERIES_CUTOFF:
+        small = gain < _SINC_SERIES_CUTOFF
     if np.ndim(slits):  # a (J, 1, 1) column: sin(z_j) is the phasor rows' .imag
         z_rows = np.moveaxis(z, -3, 0)
         step = np.reshape(w * (config.slit_step / 2.0), z_rows.shape[1:])
-
-        def sines(out):
-            rows = phasor_rows(lambda j, row: _phasor(z_rows[j], row), step,
-                               len(z_rows), SLIT_ANCHOR_STRIDE)
-            for sine_row, row in zip(np.moveaxis(out, -3, 0), rows):
-                sine_row[...] = row.imag
-    gain = _sinc(z, sines)
+        rows = phasor_rows(lambda j, row: _phasor(z_rows[j], row), step,
+                           len(z_rows), SLIT_ANCHOR_STRIDE)
+        for sine_row, row in zip(np.moveaxis(gain, -3, 0), rows):
+            sine_row[...] = row.imag
+    else:
+        np.sin(z, out=gain)
+    safe = z if small is None else np.where(small, 1.0, z)
+    gain *= np.divide(1.0, safe, out=safe)
+    if small is not None:  # the series entries, from z alone
+        z_small = z[small]
+        z2 = z_small * z_small
+        gain[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
     if not valid.all():
         np.copyto(gain, 0.0, where=~valid)
     return gain

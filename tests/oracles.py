@@ -78,6 +78,31 @@ def slit_gains_squared_bound(slits, gammas) -> np.ndarray:
     return np.where(gain == 0.0, 0.0, bound)
 
 
+def rate_bound(powers, gains2_bound, sigma2, num_subbands):
+    """How far the mean rate of these powers may move when every ||h_n||^2
+    moves by at most gains2_bound: d log2(1 + P g / sigma^2) / dg is at most
+    P / (sigma^2 ln 2)."""
+    return math.fsum(powers) / sigma2 * gains2_bound / num_subbands / math.log(2.0)
+
+
+def power_bound(powers, gains2, gains2_bound, sigma2):
+    """How far waterfilled powers may move when every ||h_n||^2 moves by at
+    most gains2_bound (0: not at all). Each floor sigma^2 / g moves by at
+    most sigma^2 bound / (g (g - bound)), the water level by at most the
+    largest move of a floor that takes power, and each power by both; and
+    waterfilling's own rounding, (N + 2) eps times the level, may fall
+    otherwise on either side."""
+    if gains2_bound == 0.0:
+        return 0.0
+    g = gains2[powers > 0]
+    with np.errstate(divide="ignore"):
+        moved = np.where(
+            g > gains2_bound, sigma2 * gains2_bound / (g * (g - gains2_bound)), np.inf
+        )
+    level = np.max(powers[powers > 0] + sigma2 / g)
+    return 2.0 * moved.max() + 2.0 * (powers.size + 2) * EPS * level
+
+
 def assert_rows_within(got, want, bound, axis=-3) -> None:
     """|got - want| <= bound[j] along the slit axis: bitwise where the bound
     is 0."""
@@ -321,15 +346,22 @@ def _reference_sinc(z: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - z * z / 6.0 + z ** 4 / 120.0, np.sin(safe) / safe)
 
 
+def reference_sinc_argument(config, angles, frequencies) -> np.ndarray:
+    """The real sinc argument z = (beta - k0 cos(angle)) L / 2 on the grid of
+    a scalar plate separation, with the same bits as diffraction_gain_grid's."""
+    angles = np.asarray(angles, dtype=float)
+    frequencies = np.asarray(frequencies, dtype=float)
+    ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
+    k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
+    beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
+    return (beta[:, None] - k0[:, None] * np.cos(angles)[None, :]) * (config.slit_length_L / 2.0)
+
+
 def reference_diffraction_gain_grid(config, angles, frequencies) -> np.ndarray:
     """The diffraction gain grid with the sinc argument always complex."""
-    angles = np.asarray(angles, dtype=float)
     frequencies = np.asarray(frequencies, dtype=float)
     if np.any(frequencies <= 0):
         raise ValueError("frequencies must be > 0")
     valid = frequencies >= config.cutoff_frequency
-    ratio = SPEED_OF_LIGHT / (2.0 * config.plate_separation_b * frequencies)
-    k0 = 2.0 * np.pi * frequencies / SPEED_OF_LIGHT
-    beta = k0 * np.sqrt(np.maximum(1.0 - ratio ** 2, 0.0))
-    z = (beta[:, None] - k0[:, None] * np.cos(angles)[None, :]) * (config.slit_length_L / 2.0)
+    z = reference_sinc_argument(config, angles, frequencies)
     return np.where(valid[:, None], _reference_sinc(z), 0.0)

@@ -40,6 +40,8 @@ from oracles import (
     EPS,
     channel_gains_squared,
     hp_emission_angle,
+    power_bound,
+    rate_bound,
     reference_mimo_spectrum,
     replay_alternating,
     simplex_grid_best_rate,
@@ -197,31 +199,6 @@ def replay_scenarios(draw):
     )
 
 
-def _rate_bound(powers, gains2_bound, sigma2, num_subbands):
-    """How far the mean rate of these powers may move when every ||h_n||^2
-    moves by at most gains2_bound: d log2(1 + P g / sigma^2) / dg is at most
-    P / (sigma^2 ln 2)."""
-    return math.fsum(powers) / sigma2 * gains2_bound / num_subbands / math.log(2.0)
-
-
-def _power_bound(powers, gains2, gains2_bound, sigma2):
-    """How far waterfilled powers may move when every ||h_n||^2 moves by at
-    most gains2_bound (0: not at all). Each floor sigma^2 / g moves by at
-    most sigma^2 bound / (g (g - bound)), the water level by at most the
-    largest move of a floor that takes power, and each power by both; and
-    waterfilling's own rounding, (N + 2) eps times the level, may fall
-    otherwise on either side."""
-    if gains2_bound == 0.0:
-        return 0.0
-    g = gains2[powers > 0]
-    with np.errstate(divide="ignore"):
-        moved = np.where(
-            g > gains2_bound, sigma2 * gains2_bound / (g * (g - gains2_bound)), np.inf
-        )
-    level = np.max(powers[powers > 0] + sigma2 / g)
-    return 2.0 * moved.max() + 2.0 * (powers.size + 2) * EPS * level
-
-
 def _row_bound(grids, users, L):
     """The recurrence's bound on ||h_n||^2 for slit length L, by its row of
     the distinct slit lengths, over which geometry_gains_squared runs."""
@@ -248,13 +225,13 @@ def _assert_near_tie(cfg, users, grids, trace, got):
     if len(trace) > 1:
         before = channel_gains_squared(channel(trace[-2]))
         powers = waterfill(before, cfg.power_budget, noise).powers
-        powers_bound = _power_bound(powers, before, _row_bound(grids, users, trace[-2][1]), sigma2)
+        powers_bound = power_bound(powers, before, _row_bound(grids, users, trace[-2][1]), sigma2)
     allowance = 0.0
     rates = []
     for geometry in (got, trace[-1]):
         h = channel(geometry)
         rates.append(average_sum_rate(h, powers, noise))
-        allowance += _rate_bound(powers, _row_bound(grids, users, geometry[1]), sigma2, n)
+        allowance += rate_bound(powers, _row_bound(grids, users, geometry[1]), sigma2, n)
         gains2 = math.fsum(channel_gains_squared(h))
         allowance += powers_bound * gains2 / sigma2 / n / math.log(2.0)
     assert got[0] in grids.b_grid and got[1] in grids.L_grid
@@ -345,7 +322,7 @@ def test_criterion_5_replay_on_random_scenarios(cfg):
     assert len(trace) == len(replay.trace)
     assert result.stop_reason == ("fixed_point" if replay.fixed_point else "i_max")
     chosen = build_channel(LwaConfig(result.chosen_b, result.chosen_L), grid, users, LOSS)
-    bound = _power_bound(replay.powers, channel_gains_squared(chosen),
+    bound = power_bound(replay.powers, channel_gains_squared(chosen),
                          _row_bound(grids, users, result.chosen_L), noise.variance_sigma2)
     assert np.all(np.abs(result.powers.powers - replay.powers) <= bound)
 

@@ -666,6 +666,15 @@ class TestValidation:
         grid = FrequencyGrid(200e9, 800e9, np.int64(3))
         assert np.array_equal(grid.frequencies, [300e9, 500e9, 700e9])
 
+    def test_frequency_grid_is_read_only(self):
+        # the MIMO line of sight trusts the centers' even spacing
+        grid = FrequencyGrid(200e9, 800e9, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.frequencies[0] = 250e9
+        with pytest.raises(AttributeError, match="read-only"):
+            grid.frequencies = np.array([250e9, 500e9, 700e9])
+        assert np.array_equal(grid.frequencies, [300e9, 500e9, 700e9])
+
     def test_noise_model(self):
         with pytest.raises(ValueError):
             NoiseModel(0.0)

@@ -13,6 +13,7 @@ from lwacomm.channel import (
     geometry_gains_squared,
     rate_bits,
 )
+from lwacomm import optimizer
 from lwacomm.experiments import write_allocation
 from lwacomm.optimizer import (
     BUDGET_RTOL,
@@ -410,6 +411,30 @@ class TestAlternateOptimize:
         assert (len(capped.trace), capped.stop_reason) == (1, "i_max")
         converged = alternate_optimize(grids, gains, 10.0, NOISE, i_max=5)
         assert (len(converged.trace), converged.stop_reason) == (2, "fixed_point")
+
+    @pytest.mark.parametrize(
+        "grids, i_max, stop_reason",
+        [
+            (SearchGrids(np.array([1e-3]), np.array([20e-3])), 1, "i_max"),
+            (SearchGrids(np.array([1e-3]), np.array([20e-3])), 5, "fixed_point"),
+            (bounded_grids(4, 4), 50, "fixed_point"),
+        ],
+    )
+    def test_a_repeated_geometry_is_not_waterfilled_again(
+        self, grids, i_max, stop_reason, monkeypatch
+    ):
+        # waterfilling is a pure function of gains[i, j]: the fixed point
+        # records the previous allocation and rate, so iterations - 1 calls
+        calls = []
+        monkeypatch.setattr(
+            optimizer, "waterfill", lambda *args: calls.append(args) or waterfill(*args)
+        )
+        result = alternate_optimize(grids, default_gains(grids, 6), 10.0, NOISE, i_max=i_max)
+        assert result.stop_reason == stop_reason
+        repeats = stop_reason == "fixed_point"
+        assert len(calls) == len(result.trace) - repeats
+        if repeats:
+            assert result.trace[-1] == result.trace[-2]._replace(iteration=len(result.trace))
 
     def test_non_finite_rate_raises(self):
         grids = SearchGrids(np.array([1e-3]), np.array([20e-3]))

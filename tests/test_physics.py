@@ -22,6 +22,7 @@ from oracles import (
     hp_diffraction_gain,
     hp_emission_angle,
     reference_diffraction_gain_grid,
+    reference_sinc_argument,
     slit_gain_bound,
     traced_peak,
 )
@@ -259,15 +260,18 @@ class TestRealGain:
         assert np.array_equal(got, diffraction_gain_grid(B1MM, angles.astype(float), BAND))
 
     @pytest.mark.parametrize("name", ["series"])
-    def test_series_cases_reach_the_series_branch(self, name, monkeypatch):
-        smallest = []
-        sinc = physics._sinc
-        monkeypatch.setattr(
-            physics, "_sinc", lambda z, *sines: smallest.append(np.abs(z).min()) or sinc(z, *sines)
-        )
+    def test_series_cases_reach_the_series_branch(self, name):
+        # every row's entries below the cutoff, an exact z = 0 among them
+        # (where sin(z) * (1/z) is NaN), take the series of z, bitwise
         config, angles, freqs = REFERENCE_CASES[name]
-        diffraction_gain_grid(config, angles, freqs)
-        assert smallest[0] < physics._SINC_SERIES_CUTOFF
+        z = reference_sinc_argument(config, angles, freqs)
+        small = np.abs(z) < physics._SINC_SERIES_CUTOFF
+        assert np.any(z == 0.0) and np.all(small.any(axis=(-2, -1)))
+        with np.errstate(divide="raise", invalid="raise"):
+            got = diffraction_gain_grid(config, angles, freqs)
+        z2 = z[small] * z[small]
+        assert np.array_equal(got[small], 1.0 - z2 / 6.0 + z2 * z2 / 120.0)
+        assert np.all(got[z == 0.0] == 1.0)
 
     def test_random_geometries_match_complex_reference(self):
         rng = np.random.default_rng(8)
@@ -406,6 +410,26 @@ class TestSlitRecurrence:
         with pytest.raises(ValueError, match="the slit lengths must be evenly spaced"):
             LwaConfig(1e-3, _slit_column(*slits))
 
+    def test_a_built_config_is_read_only(self):
+        # the gain trusts the slit_step checked when the config was built:
+        # an uneven column set afterwards gave |G| = 1.6675 at 300 GHz
+        slits = _slit_column(*np.linspace(10e-3, 50e-3, 5))
+        b = np.array([1e-3, 1.1e-3])[:, None, None]
+        config = LwaConfig(b, slits)
+        want = diffraction_gain_grid(config, np.array([0.5]), np.array([300e9]))
+        with pytest.raises(AttributeError, match="read-only"):
+            config.slit_length_L = _slit_column(10e-3, 11e-3, 40e-3)
+        with pytest.raises(AttributeError, match="read-only"):
+            config.slit_step = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            config.slit_length_L[1] = 11e-3
+        with pytest.raises(ValueError, match="read-only"):
+            config.plate_separation_b[0] = 2e-3
+        slits[1], b[0] = 11e-3, 2e-3  # the caller's arrays: the config holds copies
+        assert np.array_equal(diffraction_gain_grid(config, np.array([0.5]), np.array([300e9])),
+                              want)
+        assert type(LwaConfig(np.float64(1e-3), 10e-3).plate_separation_b) is float
+
     def test_spacing_within_tolerance_passes(self):
         slits = [10e-3, 20e-3 + 3 * EPS * 30e-3, 30e-3]
         config = LwaConfig(1e-3, _slit_column(*slits))
@@ -458,43 +482,55 @@ class TestPlateSeparationAxis:
         assert all(np.array_equal(x, y) for x, y in zip(inputs, before))
 
     @pytest.mark.parametrize(
-        "z",
+        "angles",
         [
-            np.array([0.5, -2.0, 30.0]),
-            np.array([0.5, 0.0, -3e-7, 2.0]),  # series branch
-            np.array([math.nan, 0.0, 2.0]),
-            np.array([math.nan, -1.0, 5.0]),
+            ANGLES[::4],
+            _peak_angles(B1MM, [300e9, 610e9]),  # the series branch, z = 0 among them
+            np.array([math.nan, peak_angle(B1MM, 300e9), 0.3]),
+            np.array([math.nan, 0.3, 1.2]),
         ],
+        ids=["direct", "series", "nan-series", "nan"],
     )
-    def test_sinc_takes_its_argument_as_scratch(self, z):
-        # the same bits as sin(z) * (1/z) and the series, each step into a new
-        # array; the argument is overwritten and the result is a new array
+    def test_sinc_in_place_has_the_bits_of_each_step_into_a_new_array(self, angles):
+        # |z|, sin(z), 1/z and the product are written over the gain and z,
+        # yet give the same bits as sin(z) * (1/z) and the series, each step
+        # into a new array; 100 GHz is below the cutoff
+        freqs = np.array([100e9, 300e9, 610e9, 777e9])
+        z = reference_sinc_argument(B1MM, angles, freqs)
         small = np.abs(z) < physics._SINC_SERIES_CUTOFF
         safe = np.where(small, 1.0, z)
         want = np.sin(safe) * (1.0 / safe)
         z2 = z[small] * z[small]
         want[small] = 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-        scratch = z.copy()
-        got = physics._sinc(scratch)
-        assert got is not scratch and got.dtype == np.float64
+        want[0] = 0.0
+        got = diffraction_gain_grid(B1MM, angles, freqs)
+        assert got.dtype == np.float64
         assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("series, most", [(False, 1.01), (True, 2.2)])
     def test_sinc_allocates_its_result_alone(self, series, most):
-        # 1/z goes into the argument and |z| and sin(z) into the result; only
-        # the series makes the mask and a copy of z
-        z = np.linspace(-50.0 if series else 0.5, 50.0, 10**5 + 1)  # z[50000] ~ 0
-        physics._sinc(z.copy())
-        scratch = z.copy()
-        _, peak = traced_peak(physics._sinc, scratch)
-        assert peak <= most * z.nbytes, f"peak {peak / z.nbytes:.3f} arrays"
+        # beyond w and z, the two full-size arrays the gain forms first, 1/z
+        # goes into z and |z| and sin(z) into the result; only the series
+        # makes the mask and a copy of z
+        angles = np.linspace(0.0, 0.05, 1001)  # below every emission angle
+        if series:
+            angles[::10] = [peak_angle(B1MM, f) for f in np.resize(BAND, 101)]
+        diffraction_gain_grid(B1MM, angles, BAND)
+        got, peak = traced_peak(diffraction_gain_grid, B1MM, angles, BAND)
+        assert np.count_nonzero(got == 1.0) == (101 if series else 0)
+        assert peak <= (2.0 + most) * got.nbytes, f"peak {peak / got.nbytes:.3f} arrays"
 
     def test_sinc_series_is_not_hidden_by_nan(self):
-        # the series test looks at the smallest magnitude, which NaN must not mask
+        # the series test looks at the smallest magnitude, which NaN must not
+        # mask: the exact z = 0 at 300 GHz would make sin(z) * (1/z) raise
+        angles = np.array([math.nan, peak_angle(B1MM, 300e9), 2.0])
+        assert reference_sinc_argument(B1MM, angles[1:2], [300e9]) == 0.0
         with np.errstate(divide="raise", invalid="raise"):
-            out = physics._sinc(np.array([math.nan, 0.0, 2.0]))
-        assert math.isnan(out[0]) and out[1] == 1.0 and out[2] == math.sin(2.0) / 2.0
-        assert physics._sinc(np.array([])).shape == (0,)
+            out = diffraction_gain_grid(B1MM, angles, np.array([300e9]))[0]
+        z = reference_sinc_argument(B1MM, angles[2:], [300e9])[0, 0]
+        assert math.isnan(out[0]) and out[1] == 1.0 and out[2] == np.sin(z) * (1.0 / z)
+        assert diffraction_gain_grid(B1MM, np.array([]), BAND).shape == (BAND.size, 0)
+        assert diffraction_gain_grid(B1MM, ANGLES, np.array([])).shape == (0, ANGLES.size)
 
 
 class TestBeamPeakFrequency:
