@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from lwacomm.experiments import (
     ConfigError,
     ScenarioConfig,
     SweepPoint,
+    export_beampattern_csv,
     load_config,
     optimize_scenario,
     paired_rates,
@@ -17,7 +19,9 @@ from lwacomm.experiments import (
     run_snr_sweep,
     sample_users,
     write_csv,
+    write_report,
 )
+from lwacomm.mimo import UlaGeometry
 from lwacomm.physics import LwaConfig
 
 # small scenario keeping the Monte-Carlo tests quick
@@ -138,6 +142,54 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
 
+    # each check names its own bound: without it a later check (the band's
+    # subband centers, the subnormal share) or none would catch the value
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"mimo_ref_frequency_hz": -math.inf}, "mimo_ref_frequency_hz must be finite"),
+            ({"f_low_hz": 8e11, "f_high_hz": 2e11}, "need 0 < f_low_hz < f_high_hz"),
+            ({"f_low_hz": 0.0}, "need 0 < f_low_hz < f_high_hz"),
+            ({"f_low_hz": 8e11, "f_high_hz": 8e11}, "need 0 < f_low_hz < f_high_hz"),
+            ({"num_subbands": 0}, "num_subbands and num_users must be >= 1"),
+            ({"num_users": 0}, "num_subbands and num_users must be >= 1"),
+            ({"range_min_m": 0.0}, "range interval must satisfy 0 < min <= max"),
+            ({"power_budget": 0.0}, "power_budget and noise_variance must be > 0"),
+            ({"noise_variance": 0.0}, "power_budget and noise_variance must be > 0"),
+            ({"power_budget": 1e-320}, "power_budget / num_subbands is a subnormal share"),
+            ({"b_min_m": 0.0}, "b bounds must satisfy 0 < min <= max"),
+            ({"slit_min_m": 0.0}, "slit bounds must satisfy 0 < min <= max"),
+        ],
+    )
+    def test_each_invariant_raises_its_own_message(self, kwargs, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"num_subbands": 1},
+            {"angle_max_deg": 90.0},
+            # a share of exactly the smallest normal float
+            {"power_budget": 40 * np.finfo(float).smallest_normal},
+            {"b_min_m": 1e-3, "b_max_m": 1e-3},
+            {"slit_min_m": 20e-3, "slit_max_m": 20e-3},
+            {"b_grid_points": 1},
+            {"slit_grid_points": 1},
+            {"max_iterations": 1},
+            {"mimo_elements": 1},
+        ],
+    )
+    def test_bounds_are_inclusive_where_they_say_so(self, kwargs):
+        config = ScenarioConfig(**kwargs)
+        assert all(getattr(config, name) == value for name, value in kwargs.items())
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(b"seed = 3\n\xff\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            load_config(path)
+
     @pytest.mark.parametrize("value", [2.5, True])
     @pytest.mark.parametrize(
         "name",
@@ -169,6 +221,31 @@ class TestConfig:
         config = ScenarioConfig(mimo_ref_frequency_hz=f_ref)  # optimize still accepts it
         with pytest.raises(ConfigError):
             config.ula()
+
+
+    def test_ula_half_aperture_at_range_min_rejected(self):
+        # the users must lie strictly outside the array
+        half = UlaGeometry(2, 1e9).aperture_m / 2.0
+        config = ScenarioConfig(mimo_elements=2, mimo_ref_frequency_hz=1e9, range_min_m=half)
+        with pytest.raises(ConfigError, match="reaches range_min_m"):
+            config.ula()
+
+
+class TestWriters:
+    def test_write_report_returns_the_text_it_writes(self, tmp_path):
+        text = write_report(tmp_path / "r.txt", {"a": 1, "b": 0.5, "c": np.array([1.0, 2.5])})
+        assert text == "a: 1\nb: 0.5\nc: 1 2.5\n" == (tmp_path / "r.txt").read_text()
+
+    def test_export_takes_a_nested_list_map(self, tmp_path):
+        path = tmp_path / "map.csv"
+        export_beampattern_csv(path, [math.pi / 2], [5.0, 7.5], [[-1.5, 2]])
+        assert path.read_text() == "angle_deg,range_m,log_energy\n90,5,-1.5\n90,7.5,2\n"
+
+    def test_export_rejects_a_map_of_another_shape(self, tmp_path):
+        path = tmp_path / "map.csv"
+        with pytest.raises(ValueError, match="does not match the 1 x 2 angle x range grid"):
+            export_beampattern_csv(path, [0.5], [5.0, 7.5], np.zeros((2, 2)))
+        assert not path.exists()
 
 
 class TestBeampatternExperiment:
@@ -217,8 +294,10 @@ class TestBeampatternExperiment:
     @pytest.mark.parametrize(
         "step, rows, last_deg",
         # 0.7 deg used to end at 90.3 deg, and 0.2 deg one ulp past pi/2
-        # after np.radians
-        [(0.7, 128, 89.6), (0.2, 450, 90.0)],
+        # after np.radians; a step of exactly 90 deg is allowed; the second
+        # point of 45.000000000045006 deg is pi/2 (1 + 1e-12) exactly, the
+        # last value kept (and clipped to pi/2)
+        [(0.7, 128, 89.6), (0.2, 450, 90.0), (90.0, 1, 90.0), (45.000000000045006, 2, 90.0)],
     )
     def test_angle_grid_stays_in_the_quadrant(self, monkeypatch, tmp_path, step, rows, last_deg):
         grids = []
@@ -272,6 +351,18 @@ class TestSnrSweep:
         assert lines[0] == "snr_db,mean_lwa,std_lwa,mean_mimo,std_mimo,trials"
         assert len(lines) == 3
         assert lines[1].endswith(",2")
+
+    # 10^(1e5) overflows, 10^(-1e5) is 0, and an infinite SNR gives inf: every
+    # budget is checked before any point runs
+    @pytest.mark.parametrize("snr_db", [1e6, -1e6, math.inf])
+    def test_snr_without_a_finite_positive_budget_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="gives the power budget"):
+            run_snr_sweep(FAST, [0.0, snr_db])
+
+    def test_takes_any_iterable_of_points(self):
+        config = replace(FAST, trials=1)
+        points = run_snr_sweep(config, iter([0.0, 10.0]))
+        assert points == run_snr_sweep(config, [0.0, 10.0]) and len(points.points) == 2
 
     def test_empty_ladder_rejected(self):
         with pytest.raises(ValueError):
