@@ -199,9 +199,9 @@ def test_a_permutation_of_the_users(scenario, order):
     perm = np.argsort(order[:users.num_users])
     permuted = UserSet(users.angles_rad[perm], users.ranges_m[perm])
     sigma2 = np.float64(config.noise_variance)
-    gamma2 = np.sum(InverseRangeLoss().evaluate(users.ranges_m) ** 2)
     norms, permuted_norms = gains(config, users), gains(config, permuted)
     with np.errstate(over="ignore", divide="ignore"):  # outside the domain
+        gamma2 = np.sum(InverseRangeLoss().evaluate(users.ranges_m) ** 2)
         floors = sigma2 / norms[norms > 0]
         assume(normal(sigma2, config.power_budget / sigma2, gamma2, floors,
                       gains_per_user(config, users)))
@@ -218,6 +218,7 @@ def test_a_permutation_of_the_users(scenario, order):
         powers = side.powers.powers
         g = chosen_norms(config, side_norms, side)
         tolerance += rate_bound(powers, delta, sigma2, n)
-        tolerance += power_bound(powers, g, delta, sigma2) * math.fsum(g) / sigma2 / n / math.log(2.0)
+        moved = power_bound(powers, g, delta, sigma2)
+        tolerance += moved * math.fsum(g) / sigma2 / n / math.log(2.0)
     tolerance += 4 * EPS * max(result.sum_rate, other.sum_rate)  # each rate's own rounding
     assert abs(other.sum_rate - result.sum_rate) <= tolerance
